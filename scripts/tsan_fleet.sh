@@ -5,7 +5,7 @@
 #
 # Builds an out-of-tree TSan tree (build-tsan/) so the regular build stays
 # untouched, then runs the labels that exercise real multi-threading:
-#   fleet    — engine, cache, bench smoke
+#   fleet    — engine, cache, the session walk (test_sim), bench smoke
 #   obs      — metrics registry hammer
 #   coding   — thread pool + GF kernel tests (test_util / test_gf_kernels)
 #   stats    — tail summaries folded from concurrent shards (test_stats_workload)
@@ -24,7 +24,7 @@ cmake -B "$BUILD" -S "$ROOT" \
   -DMOBIWEB_BUILD_BENCH=ON \
   -DMOBIWEB_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD" -j \
-  --target test_fleet test_util test_obs test_gf_kernels test_stats \
+  --target test_fleet test_sim test_util test_obs test_gf_kernels test_stats \
   test_stats_workload test_proxy test_timeseries bench_fleet bench_proxy
 
 export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1}

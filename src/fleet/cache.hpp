@@ -48,11 +48,10 @@
 
 namespace mobiweb::fleet {
 
-// Hard cap on cooked packets per document served by the cache. The fleet
-// engine tracks per-session receipt in a fixed 4×64-bit bitmap, so a cooked
-// set larger than this would silently corrupt session state; DocumentCache
-// enforces the bound at build time (a γ/corpus spec that cooks more packets
-// throws ContractViolation instead of invoking UB downstream).
+// Hard cap on cooked packets per document served by the cache: the most a
+// sim::SessionWalk keeps inline in its receipt bitmap, so no fleet session
+// allocates one. DocumentCache enforces the bound at build time (a γ/corpus
+// spec that cooks more packets throws ContractViolation).
 inline constexpr std::size_t kMaxCookedPackets = 256;
 
 // Identifies one cooked encoding: document `doc_index` of the synthetic

@@ -3,85 +3,20 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <queue>
+#include <string>
+#include <utility>
 
 #include "obs/flight.hpp"
 #include "obs/profile.hpp"
+#include "sim/walk.hpp"
 #include "util/check.hpp"
 
 namespace mobiweb::fleet {
 
 namespace {
-
-// Per-session live state. Kept small on purpose: ~200 bytes per session means
-// a 1M-session fleet fits in a couple hundred MB, and the per-frame work is
-// one Bernoulli draw plus bitmap arithmetic — no per-session byte copies
-// (cooked frames are shared read-only out of the DocumentCache).
-// Edge-tier per-session state; allocated only when FleetConfig::proxy is set
-// so non-proxied fleets pay one pointer, not ~150 bytes, per session. Mirrors
-// sim::simulate_proxied_transfer's serving-replica variables exactly.
-struct ProxyState {
-  Rng proxy_rng{0};                            // warm/age/handoff draws
-  std::unique_ptr<channel::OutageModel> origin;  // nullptr = origin always up
-  Rng origin_rng{0};
-  bool attached = false;      // initial proxy acquire ran (first event)
-  bool has_replica = false;
-  bool serving_stale = false;
-  std::uint64_t replica_gen = 0;
-  std::uint64_t held_gen = 0;
-  sim::ProxyStats stats;
-};
-
-struct Session {
-  Rng rng{0};
-  // shared_ptr, not a raw pointer: with a bounded DocumentCache the entry can
-  // be evicted mid-run, and the session must keep its document alive.
-  std::shared_ptr<const CookedDocument> doc;
-  double clock = 0.0;        // absolute simulated time
-  double start = 0.0;
-  double content = 0.0;
-  double stall_delay = 0.0;
-  double time_per_frame = 0.0;
-  long frames = 0;
-  // Receipt bitmap for the cooked set. DocumentCache::build enforces
-  // n = ceil(gamma*m) <= kMaxCookedPackets (= 256) at cook time, so every
-  // index this session can see fits these four words.
-  std::uint64_t seen[4] = {0, 0, 0, 0};
-  int intact = 0;
-  int rounds = 0;
-
-  // Weak-connectivity state; engaged only when FleetConfig::outage is set.
-  // link_clock mirrors sim::simulate_resilient_transfer's session clock
-  // exactly (same additions in the same order, starting at 0) so outage
-  // queries and deadline checks are bit-equal to the oracle's — the absolute
-  // `clock` above would pick up start-offset rounding and break parity.
-  std::unique_ptr<channel::OutageModel> outage;
-  Rng outage_rng{0};
-  Rng jitter_rng{0};
-  double link_clock = 0.0;
-  double backoff = 0.0;
-  double backoff_s = 0.0;
-  long frames_lost = 0;
-  int attempts = 0;
-  int suspensions = 0;
-
-  std::unique_ptr<ProxyState> px;  // engaged only when FleetConfig::proxy set
-  // Breadcrumb span log; engaged only when FleetConfig::telemetry is set.
-  // Moved into a TraceCandidate at finish, so it is only ever alive for
-  // in-flight sessions.
-  std::unique_ptr<CrumbLog> crumbs;
-
-  [[nodiscard]] bool test_seen(int i) const {
-    return (seen[i >> 6] >> (i & 63)) & 1u;
-  }
-  void mark_seen(int i) { seen[i >> 6] |= std::uint64_t{1} << (i & 63); }
-  void reset_cache() {
-    seen[0] = seen[1] = seen[2] = seen[3] = 0;
-    intact = 0;
-    content = 0.0;
-  }
-};
 
 // Min-heap event: next round of session `index` fires at time `t`. Ties break
 // on the session index so processing order is deterministic.
@@ -94,9 +29,18 @@ struct Event {
   }
 };
 
-// How a session left the event loop. Indexes the per-status histogram array.
+// How a session ended. Indexes the per-status metric arrays.
 enum class Outcome : int { kCompleted = 0, kAborted = 1, kGaveUp = 2, kDegraded = 3 };
 inline constexpr int kOutcomes = 4;
+constexpr const char* kOutcomeNames[kOutcomes] = {"completed", "aborted_irrelevant",
+                                                  "gave_up", "degraded"};
+
+Outcome outcome_of(const sim::TransferResult& r) {
+  if (r.completed) return Outcome::kCompleted;
+  if (r.aborted_irrelevant) return Outcome::kAborted;
+  if (r.gave_up) return Outcome::kGaveUp;
+  return Outcome::kDegraded;
+}
 
 // A finished session still in the running for trace retention: its verdict,
 // its ranking key (result.time) and its breadcrumb ring. Only materialized
@@ -105,24 +49,11 @@ struct TraceCandidate {
   std::uint32_t session = 0;
   double start = 0.0;
   sim::TransferResult result;
-  std::unique_ptr<CrumbLog> crumbs;
+  CrumbLog crumbs;
 };
 
 struct ShardTotals {
-  long completed = 0;
-  long gave_up = 0;
-  long aborted_irrelevant = 0;
-  long degraded = 0;
-  long frames = 0;
-  long frames_lost = 0;
-  long rounds = 0;
-  long suspensions = 0;
-  unsigned long long bytes = 0;
-  double content = 0.0;
-  double session_time_s = 0.0;
-  double backoff_s = 0.0;
-  double makespan_s = 0.0;
-  FleetProxyTotals proxy;
+  FleetResult sum;            // this shard's share of the scalar aggregates
   std::vector<double> times;  // per-session transfer times (tail_stats only)
   // Telemetry (engaged only with FleetConfig::telemetry): this shard's time
   // buckets plus its trace candidates — every degraded / gave-up session,
@@ -133,44 +64,48 @@ struct ShardTotals {
   std::vector<TraceCandidate> tail;
 };
 
+// FleetProxyTotals fields and the registry counters they feed, in export
+// order.
+constexpr std::pair<long FleetProxyTotals::*, const char*> kProxyCounters[] = {
+    {&FleetProxyTotals::replica_hits, "proxy.replica_hits"},
+    {&FleetProxyTotals::stale_serves, "proxy.stale_serves"},
+    {&FleetProxyTotals::failovers, "proxy.failovers"},
+    {&FleetProxyTotals::handoffs, "proxy.handoffs"},
+    {&FleetProxyTotals::origin_fetches, "proxy.origin_fetches"},
+    {&FleetProxyTotals::origin_suspensions, "proxy.origin_suspensions"},
+    {&FleetProxyTotals::reconciliations, "proxy.reconciliations"},
+    {&FleetProxyTotals::packets_refetched, "proxy.packets_refetched"},
+    {&FleetProxyTotals::stale_frames, "proxy.stale_frames"},
+    {&FleetProxyTotals::sessions_ended_stale, "proxy.sessions_ended_stale"},
+    {&FleetProxyTotals::origin_generation_bumps, "proxy.origin_generation_bumps"},
+    {&FleetProxyTotals::reconcile_dropped_packets, "proxy.reconcile_dropped_packets"},
+};
+inline constexpr std::size_t kProxyCounterCount = std::size(kProxyCounters);
+
 // Pre-resolved metric series; shards record into them concurrently (the
 // registry's instruments are thread-safe, see obs/metrics.hpp).
 struct FleetMetrics {
   obs::Counter* sessions = nullptr;
-  obs::Counter* completed = nullptr;
-  obs::Counter* gave_up = nullptr;
-  obs::Counter* aborted = nullptr;
-  obs::Counter* degraded = nullptr;
+  obs::Counter* ended[kOutcomes] = {};  // fleet.sessions_<outcome>
   obs::Counter* frames = nullptr;
   obs::Counter* frames_lost = nullptr;
   obs::Counter* suspensions = nullptr;
   obs::Histogram* session_time = nullptr;
-  obs::Histogram* session_time_by[kOutcomes] = {nullptr, nullptr, nullptr, nullptr};
-  // Edge-tier series (resolved only for proxied runs).
-  obs::Counter* px_replica_hits = nullptr;
-  obs::Counter* px_stale_serves = nullptr;
-  obs::Counter* px_failovers = nullptr;
-  obs::Counter* px_handoffs = nullptr;
-  obs::Counter* px_origin_fetches = nullptr;
-  obs::Counter* px_origin_suspensions = nullptr;
-  obs::Counter* px_reconciliations = nullptr;
-  obs::Counter* px_packets_refetched = nullptr;
-  obs::Counter* px_stale_frames = nullptr;
-  obs::Counter* px_ended_stale = nullptr;
-  obs::Counter* px_generation_bumps = nullptr;
-  obs::Counter* px_reconcile_dropped = nullptr;
+  obs::Histogram* session_time_by[kOutcomes] = {};  // ...{status=<outcome>}
+  // Edge-tier series, indexed like kProxyCounters (proxied runs only).
+  obs::Counter* proxy[kProxyCounterCount] = {};
 };
 
-// Terminal crumb for an outcome — the event the materialized trace replays
-// to recover the session verdict.
-obs::Event terminal_event(Outcome outcome) {
-  switch (outcome) {
-    case Outcome::kCompleted: return obs::Event::kDecodeComplete;
-    case Outcome::kAborted: return obs::Event::kAbortIrrelevant;
-    case Outcome::kGaveUp: return obs::Event::kGiveUp;
-    case Outcome::kDegraded: return obs::Event::kDegraded;
-  }
-  return obs::Event::kSessionEnd;
+// The fleet-wide round parameters of every walk; m, n and the frame time are
+// set per document.
+sim::TransferConfig round_config(const FleetConfig& c) {
+  sim::TransferConfig base;
+  base.alpha = c.alpha;
+  base.caching = c.caching;
+  base.relevance_threshold = c.relevance_threshold;
+  base.request_delay = c.request_delay;
+  base.max_rounds = c.max_rounds;
+  return base;
 }
 
 std::uint64_t salted_session_seed(std::uint64_t fleet_seed, std::uint64_t salt,
@@ -179,6 +114,26 @@ std::uint64_t salted_session_seed(std::uint64_t fleet_seed, std::uint64_t salt,
 }
 
 }  // namespace
+
+void FleetProxyTotals::add(const sim::ProxyStats& s) {
+  replica_hits += s.replica_hits;
+  stale_serves += s.stale_serves;
+  failovers += s.failovers;
+  handoffs += s.handoffs;
+  origin_fetches += s.origin_fetches;
+  origin_suspensions += s.origin_suspensions;
+  reconciliations += s.reconciliations;
+  packets_refetched += s.packets_refetched;
+  stale_frames += s.stale_frames;
+  sessions_ended_stale += s.ended_stale ? 1 : 0;
+  origin_generation_bumps += s.origin_generation_bumps;
+  reconcile_dropped_packets += s.reconcile_dropped_packets;
+}
+
+FleetProxyTotals& FleetProxyTotals::operator+=(const FleetProxyTotals& other) {
+  for (const auto& counter : kProxyCounters) this->*counter.first += other.*counter.first;
+  return *this;
+}
 
 std::uint64_t session_seed(std::uint64_t fleet_seed, std::uint64_t session) {
   SplitMix64 mix(fleet_seed ^ (0xD1B54A32D192ED03ull * (session + 1)));
@@ -224,38 +179,13 @@ FleetEngine::FleetEngine(FleetConfig config)
   MOBIWEB_CHECK_MSG(!config_.gammas.empty(), "FleetEngine: no gammas");
   MOBIWEB_CHECK_MSG(config_.alpha >= 0.0 && config_.alpha < 1.0,
                     "FleetEngine: alpha in [0,1)");
-  MOBIWEB_CHECK_MSG(config_.max_rounds >= 1, "FleetEngine: max_rounds >= 1");
   MOBIWEB_CHECK_MSG(config_.bandwidth_bps > 0.0, "FleetEngine: bandwidth > 0");
   MOBIWEB_CHECK_MSG(config_.zipf_s >= 0.0, "FleetEngine: zipf_s >= 0");
   MOBIWEB_CHECK_MSG(config_.arrival_rate_hz >= 0.0,
                     "FleetEngine: arrival_rate_hz >= 0");
-  if (config_.outage != nullptr || config_.proxy.has_value()) {
-    const sim::RetryConfig& rp = config_.retry;
-    MOBIWEB_CHECK_MSG(rp.retry_budget >= 1, "FleetEngine: retry_budget >= 1");
-    MOBIWEB_CHECK_MSG(rp.initial_timeout_s >= 0.0,
-                      "FleetEngine: initial_timeout_s >= 0");
-    MOBIWEB_CHECK_MSG(rp.backoff_multiplier >= 1.0,
-                      "FleetEngine: backoff_multiplier >= 1");
-    MOBIWEB_CHECK_MSG(rp.max_backoff_s >= rp.initial_timeout_s,
-                      "FleetEngine: max_backoff_s >= initial_timeout_s");
-    MOBIWEB_CHECK_MSG(rp.jitter >= 0.0, "FleetEngine: jitter >= 0");
-  }
-  if (config_.proxy.has_value()) {
-    const sim::ProxyModelConfig& pm = config_.proxy->model;
-    MOBIWEB_CHECK_MSG(pm.warm_hit >= 0.0 && pm.warm_hit <= 1.0,
-                      "FleetEngine: warm_hit in [0,1]");
-    MOBIWEB_CHECK_MSG(pm.replica_age_mean_s >= 0.0,
-                      "FleetEngine: replica_age_mean_s >= 0");
-    MOBIWEB_CHECK_MSG(pm.origin_fetch_delay_s >= 0.0,
-                      "FleetEngine: origin_fetch_delay_s >= 0");
-    MOBIWEB_CHECK_MSG(pm.handoff_rate >= 0.0 && pm.handoff_rate < 1.0,
-                      "FleetEngine: handoff_rate in [0,1)");
-    MOBIWEB_CHECK_MSG(pm.handoff_delay_s >= 0.0,
-                      "FleetEngine: handoff_delay_s >= 0");
-    MOBIWEB_CHECK_MSG(pm.update_interval_s >= 0.0,
-                      "FleetEngine: update_interval_s >= 0");
-    MOBIWEB_CHECK_MSG(pm.proxies >= 1, "FleetEngine: proxies >= 1");
-  }
+  round_config(config_).validate();
+  if (config_.outage != nullptr || config_.proxy.has_value()) config_.retry.validate();
+  if (config_.proxy.has_value()) config_.proxy->model.validate();
 }
 
 FleetResult FleetEngine::run(ThreadPool* pool) {
@@ -344,48 +274,32 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *config_.metrics;
     fm.sessions = &reg.counter("fleet.sessions");
-    fm.completed = &reg.counter("fleet.sessions_completed");
-    fm.gave_up = &reg.counter("fleet.sessions_gave_up");
-    fm.aborted = &reg.counter("fleet.sessions_aborted_irrelevant");
-    fm.degraded = &reg.counter("fleet.sessions_degraded");
     fm.frames = &reg.counter("fleet.frames_sent");
     fm.frames_lost = &reg.counter("fleet.frames_lost_outage");
     fm.suspensions = &reg.counter("fleet.suspensions");
     fm.session_time =
         &reg.histogram("fleet.session_time_s", obs::session_time_buckets());
-    fm.session_time_by[static_cast<int>(Outcome::kCompleted)] = &reg.histogram(
-        "fleet.session_time_s{status=completed}", obs::session_time_buckets());
-    fm.session_time_by[static_cast<int>(Outcome::kAborted)] =
-        &reg.histogram("fleet.session_time_s{status=aborted_irrelevant}",
-                       obs::session_time_buckets());
-    fm.session_time_by[static_cast<int>(Outcome::kGaveUp)] = &reg.histogram(
-        "fleet.session_time_s{status=gave_up}", obs::session_time_buckets());
-    fm.session_time_by[static_cast<int>(Outcome::kDegraded)] = &reg.histogram(
-        "fleet.session_time_s{status=degraded}", obs::session_time_buckets());
+    for (int o = 0; o < kOutcomes; ++o) {
+      const std::string status = kOutcomeNames[o];
+      fm.ended[o] = &reg.counter("fleet.sessions_" + status);
+      fm.session_time_by[o] = &reg.histogram("fleet.session_time_s{status=" + status + "}",
+                                             obs::session_time_buckets());
+    }
     if (config_.proxy.has_value()) {
-      fm.px_replica_hits = &reg.counter("proxy.replica_hits");
-      fm.px_stale_serves = &reg.counter("proxy.stale_serves");
-      fm.px_failovers = &reg.counter("proxy.failovers");
-      fm.px_handoffs = &reg.counter("proxy.handoffs");
-      fm.px_origin_fetches = &reg.counter("proxy.origin_fetches");
-      fm.px_origin_suspensions = &reg.counter("proxy.origin_suspensions");
-      fm.px_reconciliations = &reg.counter("proxy.reconciliations");
-      fm.px_packets_refetched = &reg.counter("proxy.packets_refetched");
-      fm.px_stale_frames = &reg.counter("proxy.stale_frames");
-      fm.px_ended_stale = &reg.counter("proxy.sessions_ended_stale");
-      fm.px_generation_bumps = &reg.counter("proxy.origin_generation_bumps");
-      fm.px_reconcile_dropped = &reg.counter("proxy.reconcile_dropped_packets");
+      for (std::size_t c = 0; c < kProxyCounterCount; ++c) {
+        fm.proxy[c] = &reg.counter(kProxyCounters[c].second);
+      }
     }
   }
 
   std::vector<ShardTotals> totals(shards);
   if (config_.record_outcomes) result.outcomes.resize(sessions);
   const std::size_t per_shard = (sessions + shards - 1) / shards;
-  const bool relevance_check = config_.relevance_threshold >= 0.0;
-  const sim::RetryConfig& rp = config_.retry;
   const bool proxied = config_.proxy.has_value();
-  const sim::ProxyModelConfig pm =
-      proxied ? config_.proxy->model : sim::ProxyModelConfig{};
+  // Link fades and the edge tier both engage the retry policy.
+  const sim::RetryConfig* retry =
+      config_.outage != nullptr || proxied ? &config_.retry : nullptr;
+  const sim::ProxyModelConfig* edge = proxied ? &config_.proxy->model : nullptr;
   const bool telem = config_.telemetry.has_value();
   const FleetTelemetryConfig tc =
       config_.telemetry.value_or(FleetTelemetryConfig{});
@@ -435,467 +349,140 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       }
     };
 
-    // Materialize this shard's slice of sessions and seed its event heap.
-    std::vector<Session> states(hi - lo);
+    // Materialize this shard's walks and seed its event heap. A walk reads
+    // its document's content profile in place, so the shard pins every
+    // document it serves (a bounded cache may evict it mid-run).
+    const std::size_t count = hi - lo;
+    std::vector<std::shared_ptr<const CookedDocument>> docs(count);
+    std::vector<sim::SessionWalk> walks;
+    walks.reserve(count);
+    std::vector<CrumbLog> crumbs;
+    std::vector<sim::WalkSink> sinks;
+    if (ts != nullptr) {
+      crumbs.reserve(count);
+      sinks.resize(count);
+    }
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
-    for (std::size_t i = lo; i < hi; ++i) {
-      Session& s = states[i - lo];
-      s.rng.reseed(session_seed(config_.seed, i));
-      s.doc = cache_.get(key_of(i));  // pins the document across evictions
-      s.time_per_frame =
-          static_cast<double>(s.doc->frame_size) * 8.0 / config_.bandwidth_bps;
-      s.start = start_of(i);
-      s.clock = s.start;
+    sim::TransferConfig shape = round_config(config_);
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t i = lo + k;
+      docs[k] = cache_.get(key_of(i));
+      const CookedDocument& doc = *docs[k];
+      shape.m = static_cast<int>(doc.transmitter.m());
+      shape.n = static_cast<int>(doc.transmitter.n());
+      shape.time_per_packet =
+          static_cast<double>(doc.frame_size) * 8.0 / config_.bandwidth_bps;
+      sim::SessionWalk& w = walks.emplace_back(doc.clear_content, doc.total_content,
+                                               shape, retry, edge);
+      w.corrupt_with(Rng(session_seed(config_.seed, i)));
+      w.start_at(start_of(i));
       if (config_.outage != nullptr) {
-        s.outage = config_.outage->session_clone();
-        s.outage_rng.reseed(session_outage_seed(config_.seed, i));
+        w.link_with(config_.outage->session_clone(),
+                    Rng(session_outage_seed(config_.seed, i)));
       }
-      if (config_.outage != nullptr || proxied) {
-        // Proxied sessions back off on origin fades even with the link
-        // always up, so the jitter stream and backoff state engage for both.
-        s.jitter_rng.reseed(session_jitter_seed(config_.seed, i));
-        s.backoff = rp.initial_timeout_s;
+      if (retry != nullptr) {
+        w.seed_streams(session_jitter_seed(config_.seed, i),
+                       session_proxy_seed(config_.seed, i));
       }
-      if (proxied) {
-        s.px = std::make_unique<ProxyState>();
-        s.px->proxy_rng.reseed(session_proxy_seed(config_.seed, i));
-        if (config_.proxy->origin_outage != nullptr) {
-          s.px->origin = config_.proxy->origin_outage->session_clone();
-          s.px->origin_rng.reseed(session_origin_seed(config_.seed, i));
-        }
+      if (proxied && config_.proxy->origin_outage != nullptr) {
+        w.origin_with(config_.proxy->origin_outage->session_clone(),
+                      Rng(session_origin_seed(config_.seed, i)));
       }
       if (ts != nullptr) {
-        s.crumbs = std::make_unique<CrumbLog>(tc.crumb_capacity);
-        ts->add(Channel::kSessionsStarted, s.start);
+        sinks[k] = sim::WalkSink{nullptr, ts, &crumbs.emplace_back(tc.crumb_capacity)};
+        w.report_to(&sinks[k]);
       }
-      heap.push(Event{s.start, static_cast<std::uint32_t>(i)});
+      heap.push(Event{w.start(), static_cast<std::uint32_t>(i)});
     }
 
-    const auto finish = [&](std::size_t index, Session& s, double received,
-                            Outcome outcome) {
-      const bool completed = outcome == Outcome::kCompleted;
-      const bool aborted = outcome == Outcome::kAborted;
-      const bool gave_up = outcome == Outcome::kGaveUp;
-      const bool degraded = outcome == Outcome::kDegraded;
-      sim::TransferResult r;
-      r.packets = s.frames;
-      r.rounds = s.rounds;
-      r.completed = completed;
-      r.aborted_irrelevant = aborted;
-      r.gave_up = gave_up;
-      r.degraded = degraded;
-      r.content = received;
-      r.frames_lost = s.frames_lost;
-      r.suspensions = s.suspensions;
-      r.request_attempts = s.attempts;
-      r.backoff_s = s.backoff_s;
-      r.time = static_cast<double>(s.frames) * s.time_per_frame + s.stall_delay;
-      tot.completed += completed ? 1 : 0;
-      tot.gave_up += gave_up ? 1 : 0;
-      tot.aborted_irrelevant += aborted ? 1 : 0;
-      tot.degraded += degraded ? 1 : 0;
-      tot.frames += s.frames;
-      tot.frames_lost += s.frames_lost;
-      tot.rounds += s.rounds;
-      tot.suspensions += s.suspensions;
-      tot.bytes += static_cast<unsigned long long>(s.frames) * s.doc->frame_size;
-      tot.content += received;
-      tot.session_time_s += r.time;
+    const auto finish = [&](std::size_t k) {
+      const std::size_t index = lo + k;
+      const sim::SessionWalk& w = walks[k];
+      const sim::TransferResult& r = w.result();
+      FleetResult& sum = tot.sum;
+      sum.completed += r.completed ? 1 : 0;
+      sum.gave_up += r.gave_up ? 1 : 0;
+      sum.aborted_irrelevant += r.aborted_irrelevant ? 1 : 0;
+      sum.degraded += r.degraded ? 1 : 0;
+      sum.frames_sent += r.packets;
+      sum.frames_lost += r.frames_lost;
+      sum.rounds += r.rounds;
+      sum.suspensions += r.suspensions;
+      sum.bytes_sent += static_cast<unsigned long long>(r.packets) * docs[k]->frame_size;
+      sum.content += r.content;
+      sum.session_time_s += r.time;
       if (config_.tail_stats) tot.times.push_back(r.time);
-      tot.backoff_s += s.backoff_s;
-      tot.makespan_s = std::max(tot.makespan_s, s.start + r.time);
-      sim::ProxyStats pstats;
-      if (s.px != nullptr) {
-        s.px->stats.ended_stale = s.px->serving_stale;
-        pstats = s.px->stats;
-        tot.proxy.replica_hits += pstats.replica_hits;
-        tot.proxy.stale_serves += pstats.stale_serves;
-        tot.proxy.failovers += pstats.failovers;
-        tot.proxy.handoffs += pstats.handoffs;
-        tot.proxy.origin_fetches += pstats.origin_fetches;
-        tot.proxy.origin_suspensions += pstats.origin_suspensions;
-        tot.proxy.reconciliations += pstats.reconciliations;
-        tot.proxy.packets_refetched += pstats.packets_refetched;
-        tot.proxy.stale_frames += pstats.stale_frames;
-        tot.proxy.sessions_ended_stale += pstats.ended_stale ? 1 : 0;
-        tot.proxy.origin_generation_bumps += pstats.origin_generation_bumps;
-        tot.proxy.reconcile_dropped_packets += pstats.reconcile_dropped_packets;
-        if (fm.px_replica_hits != nullptr) {
-          if (pstats.replica_hits > 0) fm.px_replica_hits->inc(pstats.replica_hits);
-          if (pstats.stale_serves > 0) fm.px_stale_serves->inc(pstats.stale_serves);
-          if (pstats.failovers > 0) fm.px_failovers->inc(pstats.failovers);
-          if (pstats.handoffs > 0) fm.px_handoffs->inc(pstats.handoffs);
-          if (pstats.origin_fetches > 0) {
-            fm.px_origin_fetches->inc(pstats.origin_fetches);
-          }
-          if (pstats.origin_suspensions > 0) {
-            fm.px_origin_suspensions->inc(pstats.origin_suspensions);
-          }
-          if (pstats.reconciliations > 0) {
-            fm.px_reconciliations->inc(pstats.reconciliations);
-          }
-          if (pstats.packets_refetched > 0) {
-            fm.px_packets_refetched->inc(pstats.packets_refetched);
-          }
-          if (pstats.stale_frames > 0) fm.px_stale_frames->inc(pstats.stale_frames);
-          if (pstats.ended_stale) fm.px_ended_stale->inc();
-          if (pstats.origin_generation_bumps > 0) {
-            fm.px_generation_bumps->inc(pstats.origin_generation_bumps);
-          }
-          if (pstats.reconcile_dropped_packets > 0) {
-            fm.px_reconcile_dropped->inc(pstats.reconcile_dropped_packets);
-          }
+      sum.backoff_s += r.backoff_s;
+      sum.makespan_s = std::max(sum.makespan_s, w.start() + r.time);
+      if (proxied) {
+        FleetProxyTotals one;
+        one.add(w.proxy());
+        sum.proxy += one;
+        for (std::size_t c = 0; c < kProxyCounterCount; ++c) {
+          const long v = one.*kProxyCounters[c].first;
+          if (fm.proxy[c] != nullptr && v > 0) fm.proxy[c]->inc(v);
         }
       }
       if (ts != nullptr) {
-        ts->add(Channel::kSessionsEnded, s.clock);
-        if (gave_up || degraded) ts->add(Channel::kSessionsFailed, s.clock);
-        s.crumbs->push(terminal_event(outcome), s.clock, 0, received);
-        TraceCandidate cand{static_cast<std::uint32_t>(index), s.start, r,
-                            std::move(s.crumbs)};
-        if (gave_up || degraded) {
+        TraceCandidate cand{static_cast<std::uint32_t>(index), w.start(), r,
+                            std::move(crumbs[k])};
+        if (r.gave_up || r.degraded) {
           tot.failed.push_back(std::move(cand));
         } else {
           offer_tail(std::move(cand));
         }
       }
       if (fm.sessions != nullptr) {
+        const int outcome = static_cast<int>(outcome_of(r));
         fm.sessions->inc();
-        if (completed) fm.completed->inc();
-        if (gave_up) fm.gave_up->inc();
-        if (aborted) fm.aborted->inc();
-        if (degraded) fm.degraded->inc();
-        fm.frames->inc(s.frames);
-        if (s.frames_lost > 0) fm.frames_lost->inc(s.frames_lost);
-        if (s.suspensions > 0) fm.suspensions->inc(s.suspensions);
+        fm.ended[outcome]->inc();
+        fm.frames->inc(r.packets);
+        if (r.frames_lost > 0) fm.frames_lost->inc(r.frames_lost);
+        if (r.suspensions > 0) fm.suspensions->inc(r.suspensions);
         fm.session_time->observe(r.time);
-        fm.session_time_by[static_cast<int>(outcome)]->observe(r.time);
+        fm.session_time_by[outcome]->observe(r.time);
       }
       if (config_.record_outcomes) {
         result.outcomes[index] = SessionOutcome{
-            static_cast<std::uint32_t>(index), key_of(index), s.start,
-            s.px != nullptr
-                ? session_proxy_assignment(config_.seed, index, pm.proxies)
-                : 0,
-            r, pstats};
+            static_cast<std::uint32_t>(index), key_of(index), w.start(),
+            proxied ? session_proxy_assignment(config_.seed, index,
+                                               config_.proxy->model.proxies)
+                    : 0,
+            r, w.proxy()};
       }
     };
 
-    // Shared backoff helpers — the resilient and proxied walks consume the
-    // jitter stream and retry budget identically (see sim/transfer.cpp,
-    // sim/proxied.cpp).
-    const auto wait_one_backoff = [&](Session& s) {
-      // The jitter draw happens unconditionally (even at jitter = 0) so the
-      // stream stays aligned with the oracle's, wait-for-wait.
-      const double wait =
-          s.backoff * (1.0 + rp.jitter * s.jitter_rng.next_double());
-      s.clock += wait;
-      s.link_clock += wait;
-      s.stall_delay += wait;
-      s.backoff_s += wait;
-      s.backoff = std::min(s.backoff * rp.backoff_multiplier, rp.max_backoff_s);
-    };
-    const auto budget_exhausted = [&](const Session& s) {
-      return s.attempts >= rp.retry_budget ||
-             (rp.deadline_s >= 0.0 && s.link_clock >= rp.deadline_s);
-    };
-
-    // Edge-tier walk, mirroring sim::simulate_proxied_transfer lambda-for-
-    // lambda (see that file for the semantics; the draw order here must stay
-    // bit-identical to it).
-    const auto origin_up_now = [&](Session& s) {
-      ProxyState& px = *s.px;
-      return px.origin == nullptr ||
-             px.origin->link_up(s.link_clock, px.origin_rng);
-    };
-    const auto charge = [&](Session& s, double delay) {
-      s.clock += delay;
-      s.link_clock += delay;
-      s.stall_delay += delay;
-    };
-    const auto validate_serving = [&](std::size_t index, Session& s) -> bool {
-      ProxyState& px = *s.px;
-      // Exactly one probe at the validate point (origin_up_now may consume
-      // RNG draws, so the result is stored — never re-queried — to keep the
-      // stream aligned with the oracle draw-for-draw).
-      const bool up = origin_up_now(s);
-      if (ts != nullptr) {
-        ts->add(Channel::kOriginProbes, s.clock);
-        if (up) ts->add(Channel::kOriginUp, s.clock);
-      }
-      if (up) {
-        if (px.has_replica &&
-            px.replica_gen ==
-                sim::generation_at(s.link_clock, pm.update_interval_s)) {
-          ++px.stats.replica_hits;
-          if (ts != nullptr) ts->add(Channel::kReplicaHits, s.clock);
-        } else {
-          // A live replica landing here means its generation fell behind
-          // the origin's — the refresh is a bump, not a cold fill.
-          if (px.has_replica) ++px.stats.origin_generation_bumps;
-          ++px.stats.origin_fetches;
-          if (ts != nullptr) ts->add(Channel::kOriginFetches, s.clock);
-          charge(s, pm.origin_fetch_delay_s);
-          px.has_replica = true;
-          px.replica_gen =
-              sim::generation_at(s.link_clock, pm.update_interval_s);
-        }
-        px.serving_stale = false;
-        return true;
-      }
-      ++px.stats.failovers;
-      if (px.has_replica) {
-        ++px.stats.stale_serves;
-        px.serving_stale = true;
-        if (ts != nullptr) {
-          ts->add(Channel::kStaleServes, s.clock);
-          s.crumbs->push(obs::Event::kStaleFailover, s.clock);
-        }
-        return true;
-      }
-      // Cold proxy AND origin down: ride out the origin fade under backoff.
-      const double cold_start = s.clock;
-      if (ts != nullptr) {
-        s.crumbs->push(obs::Event::kOriginOutageBegin, s.clock);
-      }
-      while (!origin_up_now(s)) {
-        if (budget_exhausted(s)) {
-          finish(index, s, s.content, Outcome::kDegraded);
-          return false;
-        }
-        ++s.attempts;
-        wait_one_backoff(s);
-      }
-      ++px.stats.origin_suspensions;
-      if (ts != nullptr) {
-        s.crumbs->push(obs::Event::kOriginOutageEnd, s.clock, 0,
-                       s.clock - cold_start);
-      }
-      s.backoff = rp.initial_timeout_s;  // origin is back: start fresh
-      px.serving_stale = false;
-      ++px.stats.origin_fetches;
-      if (ts != nullptr) ts->add(Channel::kOriginFetches, s.clock);
-      charge(s, pm.origin_fetch_delay_s);
-      px.has_replica = true;
-      px.replica_gen = sim::generation_at(s.link_clock, pm.update_interval_s);
-      return true;
-    };
-    const auto acquire_proxy = [&](std::size_t index, Session& s) -> bool {
-      ProxyState& px = *s.px;
-      // Exactly two proxy-stream draws per attach, as in the oracle.
-      const bool warm = px.proxy_rng.next_bernoulli(pm.warm_hit);
-      const double age = -pm.replica_age_mean_s *
-                         std::log(1.0 - px.proxy_rng.next_double());
-      px.has_replica = warm;
-      px.serving_stale = false;
-      px.replica_gen =
-          warm ? sim::generation_at(std::max(0.0, s.link_clock - age),
-                                    pm.update_interval_s)
-               : 0;
-      return validate_serving(index, s);
-    };
-    const auto reconcile = [&](Session& s) {
-      ProxyState& px = *s.px;
-      ++px.stats.reconciliations;
-      if (px.held_gen != px.replica_gen) {
-        if (s.intact > 0) {
-          px.stats.packets_refetched += s.intact;
-          px.stats.reconcile_dropped_packets += s.intact;
-          if (ts != nullptr) {
-            ts->add(Channel::kReconcileDrops, s.clock, s.intact);
-            s.crumbs->push(obs::Event::kReconcileDrop, s.clock, s.intact);
-          }
-          s.reset_cache();
-        }
-        px.held_gen = px.replica_gen;
-      }
-    };
-
-    // Drain the heap: one event = one transmission round. The state machine
-    // below is sim::simulate_transfer's round body verbatim (same draw order,
-    // same check precedence) — and, when an outage model is configured,
-    // sim::simulate_resilient_transfer's suspend/backoff walk verbatim, and,
-    // when the proxy tier is configured, sim::simulate_proxied_transfer's
-    // attach/validate/handoff/reconcile walk verbatim — which is what makes
-    // the per-session parity tests exact.
+    // Drain the heap: one event = one round of one walk.
     while (!heap.empty()) {
       const Event ev = heap.top();
       heap.pop();
-      Session& s = states[ev.index - lo];
-      const CookedDocument& doc = *s.doc;
-      const int m = static_cast<int>(doc.transmitter.m());
-      const int n = static_cast<int>(doc.transmitter.n());
-
-      if (s.px != nullptr && !s.px->attached) {
-        // The initial request attaches to the assigned proxy before round 1
-        // (the oracle's acquire before its round loop). Degrading here — the
-        // origin down with nothing cached, budget exhausted — ends the
-        // session with zero rounds, exactly as the oracle does.
-        s.px->attached = true;
-        if (!acquire_proxy(ev.index, s)) continue;
-        s.px->held_gen = s.px->replica_gen;
+      const std::size_t k = ev.index - lo;
+      if (const std::optional<double> next = walks[k].step()) {
+        heap.push(Event{*next, ev.index});
+      } else {
+        finish(k);
       }
-
-      ++s.rounds;
-      if (ts != nullptr) {
-        s.crumbs->push(obs::Event::kRoundStart, s.clock, s.rounds);
-      }
-      bool terminal = false;
-      for (int i = 0; i < n && !terminal; ++i) {
-        ++s.frames;
-        s.clock += s.time_per_frame;
-        if (ts != nullptr) ts->add(Channel::kFramesSent, s.clock);
-        if (s.outage != nullptr) {
-          s.link_clock += s.time_per_frame;
-          if (!s.outage->link_up(s.link_clock, s.outage_rng)) {
-            // In a fade: airtime burned, nothing delivered, and the
-            // corruption model never sees the frame.
-            ++s.frames_lost;
-            if (ts != nullptr) ts->add(Channel::kFramesLost, s.clock);
-            continue;
-          }
-        } else if (s.px != nullptr) {
-          // Proxied sessions keep the session-relative clock running even
-          // with the link always up: origin outage queries and generation
-          // stamps are driven off it.
-          s.link_clock += s.time_per_frame;
-        }
-        const bool corrupted = s.rng.next_bernoulli(config_.alpha);
-        if (!corrupted && !s.test_seen(i)) {
-          s.mark_seen(i);
-          ++s.intact;
-          if (s.px != nullptr && s.px->serving_stale) ++s.px->stats.stale_frames;
-          if (i < m) s.content += doc.clear_content[static_cast<std::size_t>(i)];
-        }
-        // Reconstruction (condition 1) outranks the relevance abort
-        // (condition 3) when one frame triggers both — as in TransferSession.
-        if (s.intact >= m) {
-          finish(ev.index, s, doc.total_content, Outcome::kCompleted);
-          terminal = true;
-        } else if (relevance_check && s.content >= config_.relevance_threshold) {
-          finish(ev.index, s, s.content, Outcome::kAborted);
-          terminal = true;
-        }
-      }
-      if (terminal) continue;
-      if (ts != nullptr) {
-        // Stalled (non-terminal) round boundary: the suspension_rate SLO's
-        // denominator, and the crumb the materialized trace replays into a
-        // round span.
-        ts->add(Channel::kRounds, s.clock);
-        s.crumbs->push(obs::Event::kRoundEnd, s.clock, s.rounds, s.content);
-      }
-      // Stalled round: give up at the cap — BEFORE the suspend check, as
-      // ResilientSession breaks before touching the back channel. `>=` so a
-      // counter that ever steps past the cap still terminates.
-      if (s.rounds >= config_.max_rounds) {
-        finish(ev.index, s, s.content, Outcome::kGaveUp);
-        continue;
-      }
-      if (s.outage != nullptr) {
-        // Suspend-on-outage: when the round ended inside a fade,
-        // re-requesting is futile — back off exponentially with jitter
-        // (consuming retry budget, so a link that never returns still
-        // terminates) until the link is observed up.
-        bool suspended = false;
-        bool dead = false;
-        double susp_start = s.clock;
-        while (!s.outage->link_up(s.link_clock, s.outage_rng)) {
-          if (!suspended && ts != nullptr) {
-            susp_start = s.clock;
-            s.crumbs->push(obs::Event::kOutageBegin, s.clock);
-          }
-          if (budget_exhausted(s)) {
-            finish(ev.index, s, s.content, Outcome::kDegraded);
-            dead = true;
-            break;
-          }
-          ++s.attempts;
-          suspended = true;
-          wait_one_backoff(s);
-        }
-        if (dead) continue;
-        if (suspended) {
-          ++s.suspensions;
-          if (ts != nullptr) {
-            ts->add(Channel::kSuspensions, s.clock);
-            s.crumbs->push(obs::Event::kOutageEnd, s.clock, 0,
-                           s.clock - susp_start);
-          }
-          s.backoff = rp.initial_timeout_s;  // link is back: start fresh
-          if (s.px != nullptr) {
-            // Reconnect: revalidate the serving replica (it may have been
-            // refreshed or gone stale while the client was dark), then
-            // reconcile the partial cache against its generation.
-            if (!validate_serving(ev.index, s)) continue;
-            reconcile(s);
-          }
-        }
-      }
-      if (s.px != nullptr) {
-        // Cell handoff: one proxy-stream Bernoulli per stalled round, drawn
-        // unconditionally (even at handoff_rate = 0) to keep the stream
-        // aligned with the oracle's.
-        if (s.px->proxy_rng.next_bernoulli(pm.handoff_rate)) {
-          ++s.px->stats.handoffs;
-          charge(s, pm.handoff_delay_s);
-          if (ts != nullptr) {
-            ts->add(Channel::kHandoffs, s.clock);
-            s.crumbs->push(obs::Event::kHandoff, s.clock, 0,
-                           pm.handoff_delay_s);
-          }
-          if (!acquire_proxy(ev.index, s)) continue;
-          reconcile(s);
-        }
-      }
-      if (s.outage != nullptr || s.px != nullptr) {
-        // The retransmission request consumes budget even when it succeeds
-        // (the fleet back channel is reliable), exactly as in
-        // ResilientSession / the resilient and proxied oracles.
-        if (budget_exhausted(s)) {
-          finish(ev.index, s, s.content, Outcome::kDegraded);
-          continue;
-        }
-        ++s.attempts;
-        s.backoff = rp.initial_timeout_s;
-        s.link_clock += config_.request_delay;
-      }
-      s.clock += config_.request_delay;
-      s.stall_delay += config_.request_delay;
-      if (!config_.caching) s.reset_cache();
-      heap.push(Event{s.clock, ev.index});
     }
   });
 
   // Merge in shard order: deterministic for a fixed shard count; integer
   // aggregates are order-independent, so they match across shard counts too.
   for (const ShardTotals& tot : totals) {
-    result.completed += tot.completed;
-    result.gave_up += tot.gave_up;
-    result.aborted_irrelevant += tot.aborted_irrelevant;
-    result.degraded += tot.degraded;
-    result.frames_sent += tot.frames;
-    result.frames_lost += tot.frames_lost;
-    result.rounds += tot.rounds;
-    result.suspensions += tot.suspensions;
-    result.bytes_sent += tot.bytes;
-    result.content += tot.content;
-    result.session_time_s += tot.session_time_s;
-    result.backoff_s += tot.backoff_s;
-    result.makespan_s = std::max(result.makespan_s, tot.makespan_s);
-    result.proxy.replica_hits += tot.proxy.replica_hits;
-    result.proxy.stale_serves += tot.proxy.stale_serves;
-    result.proxy.failovers += tot.proxy.failovers;
-    result.proxy.handoffs += tot.proxy.handoffs;
-    result.proxy.origin_fetches += tot.proxy.origin_fetches;
-    result.proxy.origin_suspensions += tot.proxy.origin_suspensions;
-    result.proxy.reconciliations += tot.proxy.reconciliations;
-    result.proxy.packets_refetched += tot.proxy.packets_refetched;
-    result.proxy.stale_frames += tot.proxy.stale_frames;
-    result.proxy.sessions_ended_stale += tot.proxy.sessions_ended_stale;
-    result.proxy.origin_generation_bumps += tot.proxy.origin_generation_bumps;
-    result.proxy.reconcile_dropped_packets +=
-        tot.proxy.reconcile_dropped_packets;
+    const FleetResult& sum = tot.sum;
+    result.completed += sum.completed;
+    result.gave_up += sum.gave_up;
+    result.aborted_irrelevant += sum.aborted_irrelevant;
+    result.degraded += sum.degraded;
+    result.frames_sent += sum.frames_sent;
+    result.frames_lost += sum.frames_lost;
+    result.rounds += sum.rounds;
+    result.suspensions += sum.suspensions;
+    result.bytes_sent += sum.bytes_sent;
+    result.content += sum.content;
+    result.session_time_s += sum.session_time_s;
+    result.backoff_s += sum.backoff_s;
+    result.makespan_s = std::max(result.makespan_s, sum.makespan_s);
+    result.proxy += sum.proxy;
   }
   if (telem) {
     // Bucket merge: cells are integers accumulated with +=, so the merged
@@ -942,7 +529,7 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       else if (c.result.aborted_irrelevant) label += " [aborted]";
       result.traces.push_back(RetainedTrace{
           c.session, c.result.time, failed,
-          materialize_trace(label, c.start, c.result, *c.crumbs)});
+          materialize_trace(label, c.start, c.result, c.crumbs)});
     }
     // Stable presentation order: by session index, whatever rank order the
     // cut visited them in.

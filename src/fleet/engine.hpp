@@ -9,24 +9,24 @@
 // runs on one ThreadPool worker. Cooked packets come from a shared read-only
 // fleet::DocumentCache (encode once per (document, γ), serve everyone).
 //
-// Each session is the analytic TransferSession state machine of
-// sim::simulate_transfer — identical draw order, identical accounting — so
-// per-session results are bit-equal to simulate_transfer run standalone with
-// the same per-session seed (tests/test_fleet.cpp pins this). One event =
-// one transmission round (n frames); mid-round completion and the relevance
-// abort terminate exactly as in the analytic simulator.
+// Each session is one sim::SessionWalk — the same walk the analytic oracles
+// (sim::simulate_transfer and friends) run to completion — seeded from
+// (seed, i), so per-session results are bit-equal to the oracle run
+// standalone with the same per-session streams (tests/test_fleet.cpp pins
+// this). The engine keeps a heap of walks per shard; one event = one
+// SessionWalk::step(), i.e. one transmission round (n frames) plus its
+// stalled-round tail.
 //
 // Weak connectivity: when `config.outage` is set, every session owns a
 // session_clone() of the prototype outage model, driven on the session's own
-// link timeline (time since the session's start) by a dedicated per-session
-// RNG stream. The event loop then runs sim::simulate_resilient_transfer's
-// round body instead: frames transmitted into a fade are lost outright with
-// the airtime still charged, a round that ends inside a fade suspends the
-// session under exponential backoff + jitter until the link is observed up,
-// every retransmission request consumes retry budget, and an exhausted
-// budget or deadline terminates the session as degraded, carrying partial
-// content. With `outage == nullptr` the legacy always-up walk is untouched
-// (bit-identical to prior releases).
+// clock (time since the session's start) by a dedicated per-session RNG
+// stream, and the walk runs its resilient tail under `config.retry`: frames
+// transmitted into a fade are lost outright with the airtime still charged,
+// a round that ends inside a fade suspends the session under exponential
+// backoff + jitter until the link is observed up, every retransmission
+// request consumes retry budget, and an exhausted budget or deadline
+// terminates the session as degraded, carrying partial content. With
+// `outage == nullptr` (and no proxy tier) the walk runs its plain tail.
 //
 // Workload shape: `zipf_s > 0` replaces round-robin document assignment with
 // a Zipf(s) popularity draw, and `arrival_rate_hz > 0` replaces the uniform
@@ -35,15 +35,15 @@
 // shard-invariant; both default off, reproducing today's workload exactly.
 //
 // Edge proxy tier: when `config.proxy` is set, sessions fetch through an
-// edge proxy instead of straight from the origin, and the event loop runs
-// sim::simulate_proxied_transfer's walk — warm-replica draws on attach,
-// origin validation (the origin owning its own per-session OutageModel
-// clone), failover to stale-but-flagged replicas during origin fades,
-// per-round cell-handoff draws, and reconnect reconciliation of the client's
-// partial cache against the serving replica's generation. Each session's
-// proxy assignment and its proxy/origin RNG streams depend only on
-// (seed, i), so proxied runs stay deterministic and shard-invariant, with
-// per-session bit-parity against the proxied oracle.
+// edge proxy instead of straight from the origin, and each walk engages its
+// edge tier — warm-replica draws on attach, origin validation (the origin
+// owning its own per-session OutageModel clone), failover to
+// stale-but-flagged replicas during origin fades, per-round cell-handoff
+// draws, and reconnect reconciliation of the client's partial cache against
+// the serving replica's generation. Each session's proxy assignment and its
+// proxy/origin RNG streams depend only on (seed, i), so proxied runs stay
+// deterministic and shard-invariant, with per-session bit-parity against
+// sim::simulate_proxied_transfer.
 //
 // Determinism: session i's RNGs (corruption, outage, jitter, document draw)
 // are seeded from (seed, i) only, shard partials are merged in shard order,
@@ -127,7 +127,9 @@ struct FleetConfig {
   // Weak connectivity: prototype outage model cloned per session (see the
   // header comment). nullptr = link always up, legacy bit-identical walk.
   std::shared_ptr<const channel::OutageModel> outage;
-  sim::RetryConfig retry;            // suspend/backoff policy; used iff `outage`
+  // Suspend/backoff policy; used iff `outage` or `proxy` is set (the edge
+  // tier backs off on origin fades too).
+  sim::RetryConfig retry;
   // Workload shape. zipf_s > 0: document popularity ~ Zipf(s) over the corpus
   // (0 = round-robin). arrival_rate_hz > 0: Poisson session arrivals at this
   // rate (0 = uniform stagger over arrival_spread_s).
@@ -166,6 +168,9 @@ struct FleetProxyTotals {
   long sessions_ended_stale = 0;  // final serving replica was stale-flagged
   long origin_generation_bumps = 0;   // live replicas refreshed past a stale gen
   long reconcile_dropped_packets = 0; // held packets dropped by reconciliation
+
+  void add(const sim::ProxyStats& session);  // one session's counters
+  FleetProxyTotals& operator+=(const FleetProxyTotals& other);
 };
 
 struct FleetResult {

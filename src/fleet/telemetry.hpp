@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/flight.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "sim/transfer.hpp"
@@ -34,47 +35,9 @@ namespace mobiweb::fleet {
 struct FleetConfig;
 struct FleetResult;
 
-// One retained span breadcrumb. `aux` carries the small integer payload
-// (round number, dropped-packet count); `value` the double one (durations,
-// content).
-struct Crumb {
-  obs::Event type = obs::Event::kSessionStart;
-  std::int32_t aux = 0;
-  double time = 0.0;
-  double value = 0.0;
-};
-
-// Fixed-capacity ring of the most recent crumbs — the per-session analogue
-// of obs::FlightRecorder, sized in the tens of bytes so a 1M-session fleet
-// can afford one each. Overwrites oldest at capacity; O(1) per push, no
-// allocation after construction.
-class CrumbLog {
- public:
-  explicit CrumbLog(std::size_t capacity)
-      : ring_(capacity == 0 ? 1 : capacity) {}
-
-  void push(obs::Event type, double time, std::int32_t aux = 0,
-            double value = 0.0) {
-    ring_[next_] = Crumb{type, aux, time, value};
-    next_ = (next_ + 1) % ring_.size();
-    ++recorded_;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  [[nodiscard]] long recorded() const { return recorded_; }
-  [[nodiscard]] long dropped() const {
-    const long cap = static_cast<long>(ring_.size());
-    return recorded_ > cap ? recorded_ - cap : 0;
-  }
-
-  // Retained crumbs, oldest first.
-  [[nodiscard]] std::vector<Crumb> snapshot() const;
-
- private:
-  std::vector<Crumb> ring_;
-  std::size_t next_ = 0;
-  long recorded_ = 0;
-};
+// The per-session breadcrumb ring lives in obs (sim::SessionWalk writes it).
+using obs::Crumb;
+using obs::CrumbLog;
 
 // A session whose full trace survived retention: the slowest tail or a
 // degraded / gave-up failure (always kept).

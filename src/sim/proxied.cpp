@@ -1,9 +1,7 @@
 #include "sim/proxied.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/profile.hpp"
+#include "sim/walk.hpp"
 #include "util/check.hpp"
 
 namespace mobiweb::sim {
@@ -13,309 +11,30 @@ std::uint64_t generation_at(double time, double update_interval_s) {
   return static_cast<std::uint64_t>(time / update_interval_s);
 }
 
+void ProxyModelConfig::validate() const {
+  MOBIWEB_CHECK_MSG(warm_hit >= 0.0 && warm_hit <= 1.0,
+                    "ProxyModelConfig: warm_hit in [0,1]");
+  MOBIWEB_CHECK_MSG(replica_age_mean_s >= 0.0,
+                    "ProxyModelConfig: replica_age_mean_s >= 0");
+  MOBIWEB_CHECK_MSG(origin_fetch_delay_s >= 0.0,
+                    "ProxyModelConfig: origin_fetch_delay_s >= 0");
+  MOBIWEB_CHECK_MSG(handoff_rate >= 0.0 && handoff_rate < 1.0,
+                    "ProxyModelConfig: handoff_rate in [0,1)");
+  MOBIWEB_CHECK_MSG(handoff_delay_s >= 0.0, "ProxyModelConfig: handoff_delay_s >= 0");
+  MOBIWEB_CHECK_MSG(update_interval_s >= 0.0,
+                    "ProxyModelConfig: update_interval_s >= 0");
+  MOBIWEB_CHECK_MSG(proxies >= 1, "ProxyModelConfig: proxies >= 1");
+}
+
 ProxiedTransferResult simulate_proxied_transfer(
     const std::vector<double>& clear_content,
     const ProxiedTransferConfig& config,
     const std::function<bool()>& next_corrupted) {
   MOBIWEB_PROFILE_SCOPE("sim.proxied_transfer");
-  const TransferConfig& base = config.base;
-  const RetryConfig& rp = config.retry;
-  const ProxyModelConfig& pm = config.proxy;
-  MOBIWEB_CHECK_MSG(base.m >= 1, "simulate_proxied_transfer: m >= 1");
-  MOBIWEB_CHECK_MSG(base.n >= base.m, "simulate_proxied_transfer: n >= m");
-  MOBIWEB_CHECK_MSG(static_cast<int>(clear_content.size()) == base.m,
-                    "simulate_proxied_transfer: clear_content must have m entries");
-  MOBIWEB_CHECK_MSG(base.max_rounds >= 1,
-                    "simulate_proxied_transfer: max_rounds >= 1");
-  MOBIWEB_CHECK_MSG(rp.retry_budget >= 1,
-                    "simulate_proxied_transfer: retry_budget >= 1");
-  MOBIWEB_CHECK_MSG(rp.initial_timeout_s >= 0.0,
-                    "simulate_proxied_transfer: initial_timeout_s >= 0");
-  MOBIWEB_CHECK_MSG(rp.backoff_multiplier >= 1.0,
-                    "simulate_proxied_transfer: backoff_multiplier >= 1");
-  MOBIWEB_CHECK_MSG(rp.max_backoff_s >= rp.initial_timeout_s,
-                    "simulate_proxied_transfer: max_backoff_s >= initial_timeout_s");
-  MOBIWEB_CHECK_MSG(rp.jitter >= 0.0, "simulate_proxied_transfer: jitter >= 0");
-  MOBIWEB_CHECK_MSG(pm.warm_hit >= 0.0 && pm.warm_hit <= 1.0,
-                    "simulate_proxied_transfer: warm_hit in [0,1]");
-  MOBIWEB_CHECK_MSG(pm.replica_age_mean_s >= 0.0,
-                    "simulate_proxied_transfer: replica_age_mean_s >= 0");
-  MOBIWEB_CHECK_MSG(pm.origin_fetch_delay_s >= 0.0,
-                    "simulate_proxied_transfer: origin_fetch_delay_s >= 0");
-  MOBIWEB_CHECK_MSG(pm.handoff_rate >= 0.0 && pm.handoff_rate < 1.0,
-                    "simulate_proxied_transfer: handoff_rate in [0,1)");
-  MOBIWEB_CHECK_MSG(pm.handoff_delay_s >= 0.0,
-                    "simulate_proxied_transfer: handoff_delay_s >= 0");
-  MOBIWEB_CHECK_MSG(pm.update_interval_s >= 0.0,
-                    "simulate_proxied_transfer: update_interval_s >= 0");
-  MOBIWEB_CHECK_MSG(pm.proxies >= 1, "simulate_proxied_transfer: proxies >= 1");
-
-  double total_content = 0.0;
-  for (double c : clear_content) total_content += c;
-  const bool relevance_check = base.relevance_threshold >= 0.0;
-
-  ProxiedTransferResult out;
-  TransferResult& result = out.transfer;
-  ProxyStats& px = out.proxy;
-  std::vector<bool> seen(static_cast<std::size_t>(base.n), false);
-  int intact = 0;
-  double content = 0.0;
-  double stall_delay = 0.0;  // feedback delay + backoff + edge-tier charges
-  obs::SessionTrace* trace = base.trace;
-  double clock = 0.0;
-  Rng jitter_rng(config.jitter_seed);
-  Rng proxy_rng(config.proxy_seed);
-  double backoff = rp.initial_timeout_s;
-
-  // Serving-replica state. Invariant: every packet the client holds was
-  // fetched under generation `held_gen` (reconcile() drops the cache before
-  // `held_gen` can change), so staleness is a single per-session flag, not a
-  // per-packet one.
-  bool has_replica = false;
-  bool serving_stale = false;
-  std::uint64_t replica_gen = 0;
-  std::uint64_t held_gen = 0;
-
-  if (trace != nullptr) trace->session_start(clock);
-
-  const auto origin_up_now = [&] {
-    return !config.origin_up || config.origin_up(clock);
-  };
-  const auto finish = [&](double received) {
-    px.ended_stale = serving_stale;
-    result.content = received;
-    result.time = static_cast<double>(result.packets) * base.time_per_packet +
-                  stall_delay;
-    if (trace != nullptr) trace->session_end(clock, received);
-  };
-  const auto deadline_exceeded = [&] {
-    return rp.deadline_s >= 0.0 && clock >= rp.deadline_s;
-  };
-  // One client wait — identical to the resilient walk: the jitter draw is
-  // unconditional (even at jitter = 0) so the stream stays aligned with the
-  // fleet engine's, wait-for-wait.
-  const auto wait_one_backoff = [&] {
-    const double wait = backoff * (1.0 + rp.jitter * jitter_rng.next_double());
-    clock += wait;
-    stall_delay += wait;
-    result.backoff_s += wait;
-    if (trace != nullptr) trace->backoff(clock, wait);
-    backoff = std::min(backoff * rp.backoff_multiplier, rp.max_backoff_s);
-  };
-  const auto finish_degraded = [&] {
-    result.degraded = true;
-    if (trace != nullptr) trace->degraded(clock, content);
-    finish(content);
-  };
-  // Edge-tier stall (origin fetch, handoff attach) on the client's clock.
-  const auto charge = [&](double delay) {
-    clock += delay;
-    stall_delay += delay;
-  };
-
-  // Make the serving replica current, or stale-but-flagged when the origin
-  // cannot validate it. Returns false when the session degraded riding out an
-  // origin fade with nothing cached to serve (cold proxy + origin down).
-  const auto validate_serving = [&]() -> bool {
-    if (origin_up_now()) {
-      if (has_replica &&
-          replica_gen == generation_at(clock, pm.update_interval_s)) {
-        ++px.replica_hits;
-      } else {
-        // A live replica landing here means its generation fell behind the
-        // origin's — the refresh is a generation bump, not a cold fill.
-        if (has_replica) ++px.origin_generation_bumps;
-        ++px.origin_fetches;
-        charge(pm.origin_fetch_delay_s);
-        has_replica = true;
-        replica_gen = generation_at(clock, pm.update_interval_s);
-      }
-      serving_stale = false;
-      return true;
-    }
-    ++px.failovers;
-    if (has_replica) {
-      // Origin fade with a replica on hand: serve it, flagged stale — it may
-      // be behind and there is no way to know until the origin answers.
-      ++px.stale_serves;
-      serving_stale = true;
-      if (trace != nullptr) trace->stale_failover(clock);
-      return true;
-    }
-    // Cold proxy AND origin down: nothing to serve. Ride out the origin fade
-    // under the same backoff discipline as a link outage (budget-consuming,
-    // so an origin that never returns still terminates the session).
-    const double origin_outage_started = clock;
-    if (trace != nullptr) trace->origin_outage_begin(clock);
-    while (!origin_up_now()) {
-      if (result.request_attempts >= rp.retry_budget || deadline_exceeded()) {
-        finish_degraded();
-        return false;
-      }
-      ++result.request_attempts;
-      wait_one_backoff();
-    }
-    ++px.origin_suspensions;
-    if (trace != nullptr) {
-      trace->origin_outage_end(clock, clock - origin_outage_started);
-    }
-    backoff = rp.initial_timeout_s;  // origin is back: start fresh
-    serving_stale = false;
-    ++px.origin_fetches;
-    charge(pm.origin_fetch_delay_s);
-    has_replica = true;
-    replica_gen = generation_at(clock, pm.update_interval_s);
-    return true;
-  };
-
-  // Attach to a (new) proxy: fresh warm/age draws, then validate. Exactly two
-  // proxy-stream draws per attach whatever the outcome, so the stream stays
-  // aligned between the oracle and the engine attach-for-attach.
-  const auto acquire_proxy = [&]() -> bool {
-    const bool warm = proxy_rng.next_bernoulli(pm.warm_hit);
-    const double age =
-        -pm.replica_age_mean_s * std::log(1.0 - proxy_rng.next_double());
-    has_replica = warm;
-    serving_stale = false;
-    replica_gen = warm ? generation_at(std::max(0.0, clock - age),
-                                       pm.update_interval_s)
-                       : 0;
-    return validate_serving();
-  };
-
-  // Reconnect reconciliation: validate the client's partial-document cache
-  // against the serving replica's generation — matching packets are kept, a
-  // generation mismatch drops them for re-fetch.
-  const auto reconcile = [&] {
-    ++px.reconciliations;
-    if (held_gen != replica_gen) {
-      if (intact > 0) {
-        px.packets_refetched += intact;
-        px.reconcile_dropped_packets += intact;
-        if (trace != nullptr) trace->reconcile_drop(clock, intact);
-        std::fill(seen.begin(), seen.end(), false);
-        intact = 0;
-        content = 0.0;
-      }
-      held_gen = replica_gen;
-    }
-  };
-
-  // The initial request attaches to the assigned proxy before round 1.
-  if (!acquire_proxy()) return out;
-  held_gen = replica_gen;
-
-  for (result.rounds = 1;; ++result.rounds) {
-    if (trace != nullptr) trace->round_start(result.rounds, clock);
-    for (int i = 0; i < base.n; ++i) {
-      ++result.packets;
-      clock += base.time_per_packet;
-      if (trace != nullptr) trace->frame_sent(i, clock);
-      if (base.link_up && !base.link_up(clock)) {
-        // In a fade: airtime burned, nothing delivered.
-        ++result.frames_lost;
-        if (trace != nullptr) trace->frame_lost(clock);
-        continue;
-      }
-      const bool corrupted = next_corrupted();
-      if (corrupted) {
-        if (trace != nullptr) trace->frame_corrupted(clock);
-      } else if (!seen[static_cast<std::size_t>(i)]) {
-        seen[static_cast<std::size_t>(i)] = true;
-        ++intact;
-        if (serving_stale) ++px.stale_frames;
-        if (i < base.m) content += clear_content[static_cast<std::size_t>(i)];
-        if (trace != nullptr) {
-          trace->frame_intact(i, clock,
-                              (intact >= base.m) ? total_content : content);
-        }
-      } else if (trace != nullptr) {
-        trace->frame_duplicate(i, clock);
-      }
-      // Reconstruction (condition 1) outranks the relevance abort
-      // (condition 3), as everywhere else in the stack.
-      if (intact >= base.m) {
-        result.completed = true;
-        if (trace != nullptr) trace->decode_complete(clock);
-        finish(total_content);
-        return out;
-      }
-      if (relevance_check && content >= base.relevance_threshold) {
-        result.aborted_irrelevant = true;
-        if (trace != nullptr) trace->abort_irrelevant(clock, content);
-        finish(content);
-        return out;
-      }
-    }
-    if (trace != nullptr) trace->round_end(clock);
-    // Give up BEFORE the suspend/handoff checks, as in the resilient walk.
-    if (result.rounds >= base.max_rounds) break;
-
-    // Link suspend — identical to the resilient walk.
-    bool suspended = false;
-    double outage_started = clock;
-    while (base.link_up && !base.link_up(clock)) {
-      if (!suspended) {
-        outage_started = clock;
-        if (trace != nullptr) trace->outage_begin(clock);
-      }
-      if (result.request_attempts >= rp.retry_budget || deadline_exceeded()) {
-        finish_degraded();
-        return out;
-      }
-      ++result.request_attempts;
-      suspended = true;
-      wait_one_backoff();
-    }
-    if (suspended) {
-      ++result.suspensions;
-      backoff = rp.initial_timeout_s;  // link is back: start fresh
-      if (trace != nullptr) {
-        trace->outage_end(clock, clock - outage_started);
-        trace->resume(clock);
-      }
-      // Reconnect: the replica may have been refreshed or gone stale while
-      // the client was dark — revalidate, then reconcile the partial cache.
-      if (!validate_serving()) return out;
-      reconcile();
-    }
-
-    // Cell handoff: one proxy-stream Bernoulli per stalled round, drawn
-    // unconditionally (even at handoff_rate = 0) to keep the stream aligned.
-    if (proxy_rng.next_bernoulli(pm.handoff_rate)) {
-      ++px.handoffs;
-      charge(pm.handoff_delay_s);
-      if (trace != nullptr) trace->handoff(clock, pm.handoff_delay_s);
-      if (!acquire_proxy()) return out;
-      reconcile();
-    }
-
-    // Retransmission request to the serving proxy — identical to the
-    // resilient walk: every attempt consumes retry budget.
-    for (;;) {
-      if (result.request_attempts >= rp.retry_budget || deadline_exceeded()) {
-        finish_degraded();
-        return out;
-      }
-      ++result.request_attempts;
-      if (!base.feedback_lost || !base.feedback_lost()) break;
-      wait_one_backoff();  // timeout: the request is presumed lost
-    }
-    if (trace != nullptr) trace->retransmit_request(clock);
-    backoff = rp.initial_timeout_s;
-    clock += base.request_delay;
-    stall_delay += base.request_delay;
-    if (!base.caching) {
-      std::fill(seen.begin(), seen.end(), false);
-      intact = 0;
-      content = 0.0;
-    }
-  }
-
-  result.gave_up = true;
-  if (trace != nullptr) trace->give_up(clock);
-  finish(content);
-  return out;
+  SessionWalk walk(clear_content, config.base, &config.retry, &config.proxy);
+  walk.corrupt_with(next_corrupted);
+  walk.seed_streams(config.jitter_seed, config.proxy_seed);
+  return run_oracle(walk, config.base, config.origin_up);
 }
 
 ProxiedTransferResult simulate_proxied_transfer(

@@ -18,8 +18,8 @@
 // against the serving replica's generation: matching packets are kept, a
 // generation mismatch drops the cached packets for re-fetch.
 //
-// This is the bit-parity oracle for the fleet engine's proxied mode
-// (FleetConfig::proxy): the engine runs this walk's body draw-for-draw, so
+// The walk itself is sim::SessionWalk with an edge tier engaged; the fleet
+// engine's proxied mode (FleetConfig::proxy) steps the same walk, so
 // per-session results are EXPECT_EQ-able (tests/test_fleet.cpp pins it).
 // With warm_hit = 1, a static corpus (update_interval_s = 0), handoff_rate =
 // 0, and no origin_up hook, the walk is bit-identical to
@@ -56,6 +56,11 @@ struct ProxyModelConfig {
   // Size of the proxy pool (per-session assignment in the fleet engine; the
   // analytic walk itself treats proxies as i.i.d.).
   std::uint32_t proxies = 4;
+
+  // Throws ContractViolation on a probability outside its range
+  // (handoff_rate must stay < 1), a negative delay/mean/interval, or an
+  // empty proxy pool.
+  void validate() const;
 };
 
 struct ProxiedTransferConfig {

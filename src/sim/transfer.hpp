@@ -2,8 +2,10 @@
 //
 // Mirrors transmit::TransferSession + ida::StreamingDecoder semantics exactly
 // but replaces real encoding/CRC with Bernoulli corruption draws, so millions
-// of document transfers run in seconds. tests/test_sim_vs_real.cpp checks the
-// two paths agree on identical corruption patterns.
+// of document transfers run in seconds. The SimVsReal.* tests in
+// tests/test_integration.cpp check the two paths agree on identical
+// corruption patterns. Every oracle here except ARQ runs one sim::SessionWalk
+// (sim/walk.hpp) to its end.
 #pragma once
 
 #include <functional>
@@ -36,6 +38,9 @@ struct TransferConfig {
   // Optional per-session event trace, on the simulator's analytic clock
   // (packets * time_per_packet + stalls * request_delay). nullptr = no-op.
   obs::SessionTrace* trace = nullptr;
+
+  // Throws ContractViolation unless 1 <= m <= n and max_rounds >= 1.
+  void validate() const;
 };
 
 // Bound on back-channel retries per stalled round in the analytic simulator.
@@ -52,6 +57,10 @@ struct RetryConfig {
   double max_backoff_s = 30.0;       // backoff ceiling
   double jitter = 0.1;               // wait stretched by U[0, jitter)
   double deadline_s = -1.0;          // wall budget per session; < 0 = none
+
+  // Throws ContractViolation on a budget < 1, a negative timeout or jitter,
+  // a multiplier < 1, or a ceiling below the initial timeout.
+  void validate() const;
 };
 
 struct ResilientTransferConfig {
