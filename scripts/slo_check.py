@@ -20,6 +20,9 @@ Validates the timeline document bench_fleet/bench_proxy emit under
   * trace retention is bounded: retained_traces <= trace_tail_target +
     failed_traces, and the Perfetto traceEvents section is structurally
     sound (complete spans carry non-negative durations);
+  * every retained round is whole: each "round" span sent at least one frame
+    and accounts for each one (intact + corrupted + duplicate + lost ==
+    sent), and no per-frame ("frame" category) event is rendered;
   * each slo series verdict is internally consistent (drift is the recorded
     slope extrapolated across the fitted window, a breach implies
     significance and drift beyond tolerance in the bad direction) and the
@@ -29,8 +32,10 @@ Exit code 0 when the document is valid and reports zero breaches, 1 on any
 structural violation or SLO breach, 2 on usage errors.
 
 --from-bench runs `BENCH_BINARY [args] --timeline` and checks its stdout.
---self-test exercises the verdict semantics on synthetic series: a flat
-series must PASS and an injected mid-run regression must FAIL. Stdlib only.
+--self-test exercises the verdict semantics on synthetic series (a flat
+series must PASS and an injected mid-run regression must FAIL) and the round
+check on synthetic spans (a whole round passes; an empty or unbalanced round
+and a per-frame event fail). Stdlib only.
 """
 
 import json
@@ -101,6 +106,34 @@ def check_int_series(name, values, buckets):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             fail(f"timeseries {name!r}[{i}] = {v!r} is not a non-negative "
                  "integer")
+
+
+ROUND_COUNTS = ("sent", "intact", "corrupted", "duplicate", "lost")
+
+
+def trace_event_errors(events):
+    """Problems with the retained rounds: a round span that sent nothing or
+    does not account for every frame it sent, or a per-frame event."""
+    errors = []
+    for i, e in enumerate(events):
+        if e.get("cat") == "frame":
+            errors.append(f"traceEvents[{i}]: per-frame event {e.get('name')!r}")
+        if e.get("ph") != "X" or e.get("cat") != "round":
+            continue
+        args = e.get("args", {})
+        counts = [args.get(key) for key in ROUND_COUNTS]
+        if not all(isinstance(c, int) and not isinstance(c, bool)
+                   for c in counts):
+            errors.append(f"traceEvents[{i}]: round counts {counts!r}")
+            continue
+        sent, intact, corrupted, duplicate, lost = counts
+        if sent < 1:
+            errors.append(f"traceEvents[{i}]: {e.get('name')!r} sent no frames")
+        elif intact + corrupted + duplicate + lost != sent:
+            errors.append(f"traceEvents[{i}]: {e.get('name')!r} accounts for "
+                          f"{intact + corrupted + duplicate + lost} of "
+                          f"{sent} frames")
+    return errors
 
 
 def check_document(doc):
@@ -183,6 +216,9 @@ def check_document(doc):
                      f"{e.get('dur')!r}")
         if e["ph"] in ("X", "i", "C") and not is_number(e.get("ts")):
             fail(f"traceEvents[{i}]: missing ts")
+    errors = trace_event_errors(events)
+    if errors:
+        fail(f"{len(errors)} malformed retained round(s); first: {errors[0]}")
 
     return check_slo(doc.get("slo"))
 
@@ -316,7 +352,23 @@ def self_test():
     if breach:
         fail("self-test: flat series with undefined buckets breached")
 
-    print("slo_check: self-test ok (flat passes, injected regression fails)")
+    # Round spans: a whole round passes; an empty round, an unbalanced
+    # round and a frame instant fail.
+    def round_span(sent, intact, corrupted, duplicate, lost):
+        return {"ph": "X", "cat": "round", "name": "round 1", "ts": 0,
+                "dur": 1, "args": {"sent": sent, "intact": intact,
+                                   "corrupted": corrupted,
+                                   "duplicate": duplicate, "foreign": 0,
+                                   "lost": lost, "content": 0.5}}
+    if trace_event_errors([round_span(55, 40, 9, 2, 4)]):
+        fail("self-test: whole round rejected")
+    for bad in ([round_span(0, 0, 0, 0, 0)], [round_span(55, 40, 9, 2, 3)],
+                [{"ph": "i", "cat": "frame", "name": "frame_sent", "ts": 0}]):
+        if not trace_event_errors(bad):
+            fail(f"self-test: malformed trace events accepted: {bad}")
+
+    print("slo_check: self-test ok (flat passes, injected regression fails, "
+          "malformed rounds rejected)")
     return 0
 
 

@@ -42,9 +42,10 @@ MOBIWEB_FAST=1 "$BUILD/bench/bench_fleet" \
 MOBIWEB_FAST=1 "$BUILD/bench/bench_proxy" \
   --sessions=2000 --origin-duty=0.4 --warm=0.6 --duty=0.2 --json=/dev/null
 
-# Telemetry under TSan: per-shard TimeSeries writers, the per-session crumb
-# rings, the bounded tail-retention heaps and the post-run merge/materialize
-# all race across shards; the timeline document renders at the end.
+# Telemetry under TSan: per-shard TimeSeries writers fed through each shard's
+# shared sink and the bounded tail-retention heaps race across shards; the
+# post-run merge, the retained sessions' replay and the timeline document
+# follow on the calling thread.
 MOBIWEB_FAST=1 "$BUILD/bench/bench_fleet" \
   --sessions=5000 --duty=0.25 --timeline=/dev/null
 MOBIWEB_FAST=1 "$BUILD/bench/bench_proxy" \

@@ -42,14 +42,12 @@ Outcome outcome_of(const sim::TransferResult& r) {
   return Outcome::kDegraded;
 }
 
-// A finished session still in the running for trace retention: its verdict,
-// its ranking key (result.time) and its breadcrumb ring. Only materialized
-// into a full SessionTrace after the global tail selection.
-struct TraceCandidate {
+// A finished session still in the running for trace retention, by its
+// ranking key. Only replayed into a full SessionTrace after the global tail
+// selection.
+struct Ranked {
+  double time = 0.0;
   std::uint32_t session = 0;
-  double start = 0.0;
-  sim::TransferResult result;
-  CrumbLog crumbs;
 };
 
 struct ShardTotals {
@@ -60,8 +58,8 @@ struct ShardTotals {
   // and a bounded heap of the k slowest others (any global top-k member is
   // necessarily within its own shard's top k).
   obs::TimeSeries ts;
-  std::vector<TraceCandidate> failed;
-  std::vector<TraceCandidate> tail;
+  std::vector<Ranked> failed;
+  std::vector<Ranked> tail;
 };
 
 // FleetProxyTotals fields and the registry counters they feed, in export
@@ -97,7 +95,7 @@ struct FleetMetrics {
 };
 
 // The fleet-wide round parameters of every walk; m, n and the frame time are
-// set per document.
+// set per document (FleetEngine::emplace_walk).
 sim::TransferConfig round_config(const FleetConfig& c) {
   sim::TransferConfig base;
   base.alpha = c.alpha;
@@ -186,6 +184,101 @@ FleetEngine::FleetEngine(FleetConfig config)
   round_config(config_).validate();
   if (config_.outage != nullptr || config_.proxy.has_value()) config_.retry.validate();
   if (config_.proxy.has_value()) config_.proxy->model.validate();
+
+  // Zipf(s) popularity: cumulative weights over document ranks. Each
+  // session's draw depends only on (seed, i), so document assignment is
+  // deterministic and shard-invariant. zipf_s == 0 keeps round-robin.
+  if (config_.zipf_s > 0.0) {
+    zipf_cum_.reserve(config_.corpus.corpus_size);
+    double acc = 0.0;
+    for (std::size_t r = 0; r < config_.corpus.corpus_size; ++r) {
+      acc += std::pow(static_cast<double>(r + 1), -config_.zipf_s);
+      zipf_cum_.push_back(acc);
+    }
+  }
+  // Poisson arrivals: every start drawn serially from the fleet-wide arrival
+  // stream (session 0 at t = 0, exponential inter-arrival gaps), so starts
+  // are identical whatever the shard count. Rate 0 keeps the uniform stagger
+  // over [0, arrival_spread_s).
+  if (config_.arrival_rate_hz > 0.0) {
+    poisson_starts_.reserve(config_.sessions);
+    Rng arrivals(fleet_arrival_seed(config_.seed));
+    double t = 0.0;
+    for (std::size_t i = 0; i < config_.sessions; ++i) {
+      poisson_starts_.push_back(t);
+      // 1 - next_double() is in (0, 1], so the log is finite.
+      t += -std::log(1.0 - arrivals.next_double()) / config_.arrival_rate_hz;
+    }
+  }
+}
+
+CacheKey FleetEngine::key_of(std::size_t i) const {
+  const std::size_t corpus = config_.corpus.corpus_size;
+  std::size_t doc = i % corpus;
+  if (!zipf_cum_.empty()) {
+    Rng draw(session_zipf_seed(config_.seed, i));
+    const double u = draw.next_double() * zipf_cum_.back();
+    const auto it = std::upper_bound(zipf_cum_.begin(), zipf_cum_.end(), u);
+    doc = std::min(static_cast<std::size_t>(it - zipf_cum_.begin()), corpus - 1);
+  }
+  return CacheKey{static_cast<std::uint32_t>(doc),
+                  config_.gammas[i % config_.gammas.size()]};
+}
+
+double FleetEngine::start_of(std::size_t i) const {
+  if (!poisson_starts_.empty()) return poisson_starts_[i];
+  const std::size_t sessions = config_.sessions;
+  return sessions > 1 ? config_.arrival_spread_s *
+                            (static_cast<double>(i) / static_cast<double>(sessions))
+                      : 0.0;
+}
+
+sim::SessionWalk& FleetEngine::emplace_walk(std::vector<sim::SessionWalk>& walks,
+                                            std::size_t i, const CookedDocument& doc) const {
+  sim::TransferConfig shape = round_config(config_);
+  shape.m = static_cast<int>(doc.transmitter.m());
+  shape.n = static_cast<int>(doc.transmitter.n());
+  shape.time_per_packet = static_cast<double>(doc.frame_size) * 8.0 / config_.bandwidth_bps;
+  const bool proxied = config_.proxy.has_value();
+  // Link fades and the edge tier both engage the retry policy.
+  const sim::RetryConfig* retry =
+      config_.outage != nullptr || proxied ? &config_.retry : nullptr;
+  sim::SessionWalk& w = walks.emplace_back(doc.clear_content, doc.total_content, shape,
+                                           retry, proxied ? &config_.proxy->model : nullptr);
+  w.corrupt_with(Rng(session_seed(config_.seed, i)));
+  w.start_at(start_of(i));
+  if (config_.outage != nullptr) {
+    w.link_with(config_.outage->session_clone(), Rng(session_outage_seed(config_.seed, i)));
+  }
+  if (retry != nullptr) {
+    w.seed_streams(session_jitter_seed(config_.seed, i), session_proxy_seed(config_.seed, i));
+  }
+  if (proxied && config_.proxy->origin_outage != nullptr) {
+    w.origin_with(config_.proxy->origin_outage->session_clone(),
+                  Rng(session_origin_seed(config_.seed, i)));
+  }
+  return w;
+}
+
+obs::SessionTrace FleetEngine::explain(std::size_t i, obs::FlightRecorder* flight) {
+  MOBIWEB_CHECK_MSG(i < config_.sessions, "FleetEngine::explain: no such session");
+  const std::shared_ptr<const CookedDocument> doc = cache_.get(key_of(i));
+  std::vector<sim::SessionWalk> one;
+  sim::SessionWalk& walk = emplace_walk(one, i, *doc);
+  obs::SessionTrace trace;
+  trace.capture_events(true);
+  trace.set_flight(flight);
+  sim::WalkSink sink{&trace, nullptr};
+  walk.report_to(&sink);
+  while (!walk.done()) walk.step();
+  trace.set_flight(nullptr);
+  const sim::TransferResult& r = walk.result();
+  std::string label = "session " + std::to_string(i);
+  if (r.degraded) label += " [degraded]";
+  else if (r.gave_up) label += " [gave_up]";
+  else if (r.aborted_irrelevant) label += " [aborted]";
+  trace.set_label(std::move(label));
+  return trace;
 }
 
 FleetResult FleetEngine::run(ThreadPool* pool) {
@@ -205,54 +298,6 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
   const std::size_t corpus = config_.corpus.corpus_size;
   const std::size_t n_gammas = config_.gammas.size();
 
-  // Zipf(s) popularity: cumulative weights over document ranks, computed once.
-  // Each session's draw depends only on (seed, i), so document assignment is
-  // deterministic and shard-invariant. zipf_s == 0 keeps round-robin.
-  std::vector<double> zipf_cum;
-  if (config_.zipf_s > 0.0) {
-    zipf_cum.reserve(corpus);
-    double acc = 0.0;
-    for (std::size_t r = 0; r < corpus; ++r) {
-      acc += std::pow(static_cast<double>(r + 1), -config_.zipf_s);
-      zipf_cum.push_back(acc);
-    }
-  }
-  const auto doc_of = [&](std::size_t i) -> std::uint32_t {
-    if (zipf_cum.empty()) return static_cast<std::uint32_t>(i % corpus);
-    Rng draw(session_zipf_seed(config_.seed, i));
-    const double u = draw.next_double() * zipf_cum.back();
-    const auto it = std::upper_bound(zipf_cum.begin(), zipf_cum.end(), u);
-    const std::size_t rank =
-        std::min(static_cast<std::size_t>(it - zipf_cum.begin()), corpus - 1);
-    return static_cast<std::uint32_t>(rank);
-  };
-  const auto key_of = [&](std::size_t i) {
-    return CacheKey{doc_of(i), config_.gammas[i % n_gammas]};
-  };
-
-  // Poisson arrivals: precompute every start serially from the fleet-wide
-  // arrival stream (session 0 at t = 0, exponential inter-arrival gaps), so
-  // starts are identical whatever the shard count. Rate 0 keeps the uniform
-  // stagger over [0, arrival_spread_s).
-  std::vector<double> poisson_starts;
-  if (config_.arrival_rate_hz > 0.0) {
-    poisson_starts.reserve(sessions);
-    Rng arrivals(fleet_arrival_seed(config_.seed));
-    double t = 0.0;
-    for (std::size_t i = 0; i < sessions; ++i) {
-      poisson_starts.push_back(t);
-      // 1 - next_double() is in (0, 1], so the log is finite.
-      t += -std::log(1.0 - arrivals.next_double()) / config_.arrival_rate_hz;
-    }
-  }
-  const auto start_of = [&](std::size_t i) {
-    if (!poisson_starts.empty()) return poisson_starts[i];
-    return sessions > 1 ? config_.arrival_spread_s *
-                              (static_cast<double>(i) /
-                               static_cast<double>(sessions))
-                        : 0.0;
-  };
-
   // Warm every (document, γ) the fleet will touch in one batched burst, so
   // the IDA encodes run back-to-back on the pool instead of faulting in
   // lazily underneath 100k sessions. Round-robin assignment walks
@@ -263,7 +308,7 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
   {
     std::vector<CacheKey> keys;
     const std::size_t distinct =
-        zipf_cum.empty() ? std::min(sessions, std::lcm(corpus, n_gammas))
+        zipf_cum_.empty() ? std::min(sessions, std::lcm(corpus, n_gammas))
                          : sessions;
     keys.reserve(distinct);
     for (std::size_t i = 0; i < distinct; ++i) keys.push_back(key_of(i));
@@ -296,10 +341,6 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
   if (config_.record_outcomes) result.outcomes.resize(sessions);
   const std::size_t per_shard = (sessions + shards - 1) / shards;
   const bool proxied = config_.proxy.has_value();
-  // Link fades and the edge tier both engage the retry policy.
-  const sim::RetryConfig* retry =
-      config_.outage != nullptr || proxied ? &config_.retry : nullptr;
-  const sim::ProxyModelConfig* edge = proxied ? &config_.proxy->model : nullptr;
   const bool telem = config_.telemetry.has_value();
   const FleetTelemetryConfig tc =
       config_.telemetry.value_or(FleetTelemetryConfig{});
@@ -319,32 +360,29 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     if (lo >= hi) return;
     ShardTotals& tot = totals[shard];
 
-    // Telemetry sinks for this shard. `ts` doubles as the "telemetry on"
-    // flag on the hot path (one null check per frame when off).
-    obs::TimeSeries* ts = nullptr;
+    // The shard's one telemetry sink: its walks report only while
+    // telemetry is on (one null check per frame when off).
+    sim::WalkSink sink;
     if (telem) {
       tot.ts = obs::TimeSeries(tc.bucket_width_s, tc.max_buckets);
-      ts = &tot.ts;
+      sink.ts = &tot.ts;
     }
-    using obs::Channel;
     // "a ranks before b": slower first, index breaks ties. The heap keeps
     // the worst retained candidate at the front so it can be displaced.
-    const auto cand_before = [](const TraceCandidate& a,
-                                const TraceCandidate& b) {
-      return ranks_before(a.result.time, a.session, b.result.time, b.session);
+    const auto cand_before = [](const Ranked& a, const Ranked& b) {
+      return ranks_before(a.time, a.session, b.time, b.session);
     };
-    const auto offer_tail = [&](TraceCandidate cand) {
+    const auto offer_tail = [&](Ranked cand) {
       if (tail_target == 0) return;
-      std::vector<TraceCandidate>& heap = tot.tail;
+      std::vector<Ranked>& heap = tot.tail;
       if (heap.size() < tail_target) {
-        heap.push_back(std::move(cand));
+        heap.push_back(cand);
         std::push_heap(heap.begin(), heap.end(), cand_before);
         return;
       }
-      if (ranks_before(cand.result.time, cand.session,
-                       heap.front().result.time, heap.front().session)) {
+      if (cand_before(cand, heap.front())) {
         std::pop_heap(heap.begin(), heap.end(), cand_before);
-        heap.back() = std::move(cand);
+        heap.back() = cand;
         std::push_heap(heap.begin(), heap.end(), cand_before);
       }
     };
@@ -356,42 +394,12 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     std::vector<std::shared_ptr<const CookedDocument>> docs(count);
     std::vector<sim::SessionWalk> walks;
     walks.reserve(count);
-    std::vector<CrumbLog> crumbs;
-    std::vector<sim::WalkSink> sinks;
-    if (ts != nullptr) {
-      crumbs.reserve(count);
-      sinks.resize(count);
-    }
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
-    sim::TransferConfig shape = round_config(config_);
     for (std::size_t k = 0; k < count; ++k) {
       const std::size_t i = lo + k;
       docs[k] = cache_.get(key_of(i));
-      const CookedDocument& doc = *docs[k];
-      shape.m = static_cast<int>(doc.transmitter.m());
-      shape.n = static_cast<int>(doc.transmitter.n());
-      shape.time_per_packet =
-          static_cast<double>(doc.frame_size) * 8.0 / config_.bandwidth_bps;
-      sim::SessionWalk& w = walks.emplace_back(doc.clear_content, doc.total_content,
-                                               shape, retry, edge);
-      w.corrupt_with(Rng(session_seed(config_.seed, i)));
-      w.start_at(start_of(i));
-      if (config_.outage != nullptr) {
-        w.link_with(config_.outage->session_clone(),
-                    Rng(session_outage_seed(config_.seed, i)));
-      }
-      if (retry != nullptr) {
-        w.seed_streams(session_jitter_seed(config_.seed, i),
-                       session_proxy_seed(config_.seed, i));
-      }
-      if (proxied && config_.proxy->origin_outage != nullptr) {
-        w.origin_with(config_.proxy->origin_outage->session_clone(),
-                      Rng(session_origin_seed(config_.seed, i)));
-      }
-      if (ts != nullptr) {
-        sinks[k] = sim::WalkSink{nullptr, ts, &crumbs.emplace_back(tc.crumb_capacity)};
-        w.report_to(&sinks[k]);
-      }
+      sim::SessionWalk& w = emplace_walk(walks, i, *docs[k]);
+      if (telem) w.report_to(&sink);
       heap.push(Event{w.start(), static_cast<std::uint32_t>(i)});
     }
 
@@ -423,13 +431,12 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
           if (fm.proxy[c] != nullptr && v > 0) fm.proxy[c]->inc(v);
         }
       }
-      if (ts != nullptr) {
-        TraceCandidate cand{static_cast<std::uint32_t>(index), w.start(), r,
-                            std::move(crumbs[k])};
+      if (telem) {
+        const Ranked cand{r.time, static_cast<std::uint32_t>(index)};
         if (r.gave_up || r.degraded) {
-          tot.failed.push_back(std::move(cand));
+          tot.failed.push_back(cand);
         } else {
-          offer_tail(std::move(cand));
+          offer_tail(cand);
         }
       }
       if (fm.sessions != nullptr) {
@@ -484,6 +491,9 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     result.makespan_s = std::max(result.makespan_s, sum.makespan_s);
     result.proxy += sum.proxy;
   }
+  // Read before the trace replay below, which looks documents up again.
+  result.cache_hits = cache_.hits();
+  result.cache_misses = cache_.misses();
   if (telem) {
     // Bucket merge: cells are integers accumulated with +=, so the merged
     // series is independent of shard count and merge order.
@@ -496,59 +506,36 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     // sessions were kept unconditionally. Sort by the total rank order and
     // cut: the retained set is exactly (global top-k) ∪ (failed), identical
     // whatever the shard count.
-    std::vector<TraceCandidate> candidates;
-    std::vector<char> is_failed;
+    std::vector<std::pair<Ranked, bool>> candidates;  // (rank, failed)
     for (ShardTotals& tot : totals) {
-      for (TraceCandidate& c : tot.failed) {
-        candidates.push_back(std::move(c));
-        is_failed.push_back(1);
-      }
-      for (TraceCandidate& c : tot.tail) {
-        candidates.push_back(std::move(c));
-        is_failed.push_back(0);
-      }
+      for (const Ranked& c : tot.failed) candidates.emplace_back(c, true);
+      for (const Ranked& c : tot.tail) candidates.emplace_back(c, false);
       tot.failed.clear();
       tot.tail.clear();
     }
-    std::vector<std::size_t> order(candidates.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return ranks_before(candidates[a].result.time, candidates[a].session,
-                          candidates[b].result.time, candidates[b].session);
+    std::sort(candidates.begin(), candidates.end(), [](const auto& a, const auto& b) {
+      return ranks_before(a.first.time, a.first.session, b.first.time, b.first.session);
     });
     std::size_t tail_kept = 0;
-    for (const std::size_t idx : order) {
-      const bool failed = is_failed[idx] != 0;
+    for (const auto& [c, failed] : candidates) {
       const bool in_tail = tail_kept < tail_target;
       if (!failed && !in_tail) continue;
       if (in_tail) ++tail_kept;  // failed sessions occupy tail slots too
-      const TraceCandidate& c = candidates[idx];
-      std::string label = "session " + std::to_string(c.session);
-      if (c.result.degraded) label += " [degraded]";
-      else if (c.result.gave_up) label += " [gave_up]";
-      else if (c.result.aborted_irrelevant) label += " [aborted]";
-      result.traces.push_back(RetainedTrace{
-          c.session, c.result.time, failed,
-          materialize_trace(label, c.start, c.result, c.crumbs)});
+      result.traces.push_back(RetainedTrace{c.session, c.time, failed, {}});
     }
-    // Stable presentation order: by session index, whatever rank order the
-    // cut visited them in.
+    // Replay the retained sessions in session order, single-threaded: each
+    // trace comes from re-running its walk, and failed ones reach the flight
+    // recorder on the way (deterministic dumps).
     std::sort(result.traces.begin(), result.traces.end(),
               [](const RetainedTrace& a, const RetainedTrace& b) {
                 return a.session < b.session;
               });
-    if (tc.flight != nullptr) {
-      // Replay each failed retained trace through the flight recorder —
-      // single-threaded, post-merge, in session order (deterministic dumps).
-      for (const RetainedTrace& rt : result.traces) {
-        if (!rt.failed) continue;
-        tc.flight->clear();
-        bool gave_up = false;
-        for (const obs::TraceEvent& e : rt.trace.events()) {
-          tc.flight->record(e);
-          if (e.type == obs::Event::kGiveUp) gave_up = true;
-        }
-        tc.flight->dump(gave_up ? "fleet.gave_up" : "fleet.degraded");
+    for (RetainedTrace& rt : result.traces) {
+      obs::FlightRecorder* flight = rt.failed ? tc.flight : nullptr;
+      if (flight != nullptr) flight->clear();
+      rt.trace = explain(rt.session, flight);
+      if (flight != nullptr) {
+        flight->dump(rt.trace.gave_up() ? "fleet.gave_up" : "fleet.degraded");
       }
     }
   }
@@ -565,8 +552,6 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     }
     result.session_time_tails = stats::summarize_tails(times);
   }
-  result.cache_hits = cache_.hits();
-  result.cache_misses = cache_.misses();
   result.elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
           .count();

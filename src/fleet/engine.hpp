@@ -49,7 +49,9 @@
 // are seeded from (seed, i) only, shard partials are merged in shard order,
 // and event ties break on session index — so a fixed (seed, shards) pair
 // reproduces the aggregate bit-for-bit, and every integer aggregate (plus
-// the cache hit/miss counts) is invariant across shard counts.
+// the cache hit/miss counts) is invariant across shard counts. The same
+// purity makes any session explainable after the fact: explain(i) re-runs
+// session i's walk alone with a full trace attached.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +73,10 @@ namespace mobiweb::obs {
 class FlightRecorder;
 }  // namespace mobiweb::obs
 
+namespace mobiweb::sim {
+class SessionWalk;
+}  // namespace mobiweb::sim
+
 namespace mobiweb::fleet {
 
 // Edge proxy tier configuration (FleetConfig::proxy). The analytic model
@@ -91,13 +97,13 @@ struct FleetTelemetryConfig {
   double bucket_width_s = 1.0;      // simulated seconds per bucket
   std::size_t max_buckets = 4096;   // adds past the window clamp into the last
   // After the run, the slowest ceil(trace_top_fraction * sessions) sessions
-  // plus every degraded / gave-up session are materialized into full traces
-  // (FleetResult::traces); everyone else only ever carries a fixed breadcrumb
-  // ring, so trace memory stays bounded at 1M sessions.
+  // plus every degraded / gave-up session are replayed into full traces
+  // (FleetResult::traces, via FleetEngine::explain); the run itself keeps
+  // only their (time, session) ranks, so trace memory stays bounded at 1M
+  // sessions.
   double trace_top_fraction = 0.01;
-  std::size_t crumb_capacity = 32;  // per-session breadcrumb ring entries
   double slo_tolerance = 0.5;       // relative drift allowed by the SLO gate
-  // Optional postmortem sink: every retained degraded / gave-up trace is
+  // Optional postmortem sink: every retained degraded / gave-up session is
   // replayed into this recorder and dumped through its sink after the run
   // (post-merge, single-threaded — the recorder itself is not thread-safe).
   obs::FlightRecorder* flight = nullptr;
@@ -250,12 +256,31 @@ class FleetEngine {
   // from inside a pool task (the nested run executes inline).
   FleetResult run(ThreadPool* pool = nullptr);
 
+  // Session `session`'s full trace (per-frame events captured, absolute
+  // clock), from a standalone re-run of its walk: the same verdict and
+  // counters run() gives it, whether or not run() ever ran. Every event is
+  // also mirrored into `flight` when set. Looks its document up in cache(),
+  // so it counts one more hit or miss there.
+  [[nodiscard]] obs::SessionTrace explain(std::size_t session,
+                                          obs::FlightRecorder* flight = nullptr);
+
   [[nodiscard]] DocumentCache& cache() { return cache_; }
   [[nodiscard]] const FleetConfig& config() const { return config_; }
 
  private:
+  [[nodiscard]] CacheKey key_of(std::size_t session) const;
+  [[nodiscard]] double start_of(std::size_t session) const;
+  // Appends session `session`'s walk over `doc` (its document, read in place)
+  // to `walks`, with every per-session stream seeded from (seed, session) and
+  // no sink attached. Built in place: moving a walk into the shard's vector
+  // costs the warm fleet ~5% of its throughput.
+  sim::SessionWalk& emplace_walk(std::vector<sim::SessionWalk>& walks,
+                                 std::size_t session, const CookedDocument& doc) const;
+
   FleetConfig config_;
   DocumentCache cache_;
+  std::vector<double> zipf_cum_;  // Zipf weights by rank, cumulative (zipf_s > 0)
+  std::vector<double> poisson_starts_;  // per-session starts (arrival_rate_hz > 0)
 };
 
 }  // namespace mobiweb::fleet

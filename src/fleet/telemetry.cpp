@@ -10,65 +10,6 @@
 
 namespace mobiweb::fleet {
 
-obs::SessionTrace materialize_trace(const std::string& label, double start_s,
-                                    const sim::TransferResult& result,
-                                    const CrumbLog& crumbs) {
-  obs::SessionTrace trace(label);
-  trace.capture_events(true);
-  trace.session_start(start_s);
-  for (const Crumb& c : crumbs.snapshot()) {
-    switch (c.type) {
-      case obs::Event::kRoundStart:
-        trace.round_start(c.aux, c.time);
-        break;
-      case obs::Event::kRoundEnd:
-        trace.round_end(c.time, c.value);
-        break;
-      case obs::Event::kOutageBegin:
-        trace.outage_begin(c.time);
-        break;
-      case obs::Event::kOutageEnd:
-        trace.outage_end(c.time, c.value);
-        trace.resume(c.time);
-        break;
-      case obs::Event::kOriginOutageBegin:
-        trace.origin_outage_begin(c.time);
-        break;
-      case obs::Event::kOriginOutageEnd:
-        trace.origin_outage_end(c.time, c.value);
-        break;
-      case obs::Event::kStaleFailover:
-        trace.stale_failover(c.time);
-        break;
-      case obs::Event::kHandoff:
-        trace.handoff(c.time, c.value);
-        break;
-      case obs::Event::kReconcileDrop:
-        trace.reconcile_drop(c.time, c.aux);
-        break;
-      case obs::Event::kDecodeComplete:
-        trace.decode_complete(c.time);
-        break;
-      case obs::Event::kAbortIrrelevant:
-        trace.abort_irrelevant(c.time, c.value);
-        break;
-      case obs::Event::kDegraded:
-        trace.degraded(c.time, c.value);
-        break;
-      case obs::Event::kGiveUp:
-        trace.give_up(c.time);
-        break;
-      default:
-        // Frame-level events are never recorded as crumbs; anything else
-        // (e.g. a kSessionStart from a future producer) is ignored so the
-        // replay stays total over arbitrary rings.
-        break;
-    }
-  }
-  trace.session_end(start_s + result.time, result.content);
-  return trace;
-}
-
 namespace {
 
 using obs::Channel;
@@ -223,7 +164,10 @@ std::string timeline_document(const FleetResult& result,
 
   out += ",\n\"traceEvents\": [\n";
   bool first = true;
+  // Round spans carry the frame counts; per-frame instants would multiply
+  // the document's size by the frames per round.
   obs::TimelineOptions options;
+  options.frames = false;
   int tid = 1;
   for (const RetainedTrace& rt : result.traces) {
     obs::append_timeline_events(rt.trace, tid, out, first, options);

@@ -1,33 +1,29 @@
-// Fleet telemetry: breadcrumb span logs, tail-based trace retention, and the
-// exported timeline document.
+// Fleet telemetry: tail-based trace retention and the exported timeline
+// document.
 //
 // Watching a 100k-session run as it unfolds needs two things the end-of-run
 // aggregates cannot give: time-bucketed metrics over the *simulated* clock
 // (obs::TimeSeries, one per shard, merged order-independently) and full
 // traces for the sessions that matter. Keeping a full obs::SessionTrace per
-// session is out of the question at 1M sessions, so every session instead
-// carries a CrumbLog — a fixed ring of the most recent span breadcrumbs
-// (round boundaries, outage windows, cross-tier events, the terminal
-// verdict). After the run, only the slowest ceil(trace_top_fraction *
-// sessions) sessions plus every degraded / gave-up session have their crumbs
-// materialized into full SessionTraces, which export through the existing
-// Perfetto timeline_json with the PR's cross-tier span annotations.
+// session is out of the question at 1M sessions, so the run keeps only each
+// session's (time, session) rank. After the run, the slowest
+// ceil(trace_top_fraction * sessions) sessions plus every degraded / gave-up
+// session are re-run alone by FleetEngine::explain — every session is a pure
+// function of (seed, i) — into full SessionTraces, which export through the
+// existing Perfetto timeline_json with the cross-tier span annotations.
 //
-// Everything here is deterministic: crumbs replay simulated timestamps, the
-// tail selection breaks ties on (time desc, session asc), and the timeline
-// document contains no wall-clock value — so a fixed (seed, sessions) run
-// renders a bit-identical document at any shard count.
+// Everything here is deterministic: replays reproduce simulated timestamps,
+// the tail selection breaks ties on (time desc, session asc), and the
+// timeline document contains no wall-clock value — so a fixed (seed,
+// sessions) run renders a bit-identical document at any shard count.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/flight.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "sim/transfer.hpp"
 #include "stats/slo.hpp"
 
 namespace mobiweb::fleet {
@@ -35,17 +31,13 @@ namespace mobiweb::fleet {
 struct FleetConfig;
 struct FleetResult;
 
-// The per-session breadcrumb ring lives in obs (sim::SessionWalk writes it).
-using obs::Crumb;
-using obs::CrumbLog;
-
 // A session whose full trace survived retention: the slowest tail or a
 // degraded / gave-up failure (always kept).
 struct RetainedTrace {
   std::uint32_t session = 0;
   double time_s = 0.0;        // transfer time — the tail ranking key
   bool failed = false;        // degraded or gave up
-  obs::SessionTrace trace;    // materialized from the breadcrumb ring
+  obs::SessionTrace trace;    // replayed by FleetEngine::explain
 };
 
 // Tail ranking: slower first, session index breaks ties — total order, so
@@ -55,14 +47,6 @@ struct RetainedTrace {
   if (time_a != time_b) return time_a > time_b;
   return session_a < session_b;
 }
-
-// Replays a breadcrumb ring into a full SessionTrace (events captured, so
-// the timeline exporter can render outage / origin-outage / handoff spans).
-// Crumbs that lost their opening partner to ring overwrite still render —
-// the exporter falls back to duration-anchored spans.
-[[nodiscard]] obs::SessionTrace materialize_trace(
-    const std::string& label, double start_s,
-    const sim::TransferResult& result, const CrumbLog& crumbs);
 
 // One derived per-bucket series: integer-channel ratios (or rates), computed
 // from the merged TimeSeries only, so they are shard-invariant by

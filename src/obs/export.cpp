@@ -18,10 +18,12 @@ void append_number(std::string& out, double v) {
 
 namespace {
 
-// Emits the shared `"pid": P, "tid": T, "ts": t` fields (scaled).
+constexpr double kMicrosPerSecond = 1e6;
+
+// Emits the shared `"pid": 1, "tid": T, "ts": t` fields (scaled).
 void append_event_head(std::string& out, bool& first, const char* phase,
-                       std::string_view name, const char* category, int pid,
-                       int tid, double ts, const TimelineOptions& options) {
+                       std::string_view name, const char* category, int tid,
+                       double ts) {
   if (!first) out += ",\n";
   first = false;
   out += "{\"ph\": \"";
@@ -33,19 +35,17 @@ void append_event_head(std::string& out, bool& first, const char* phase,
     out += category;
     out += '"';
   }
-  out += ", \"pid\": " + std::to_string(pid);
-  out += ", \"tid\": " + std::to_string(tid);
+  out += ", \"pid\": 1, \"tid\": " + std::to_string(tid);
   out += ", \"ts\": ";
-  append_number(out, ts * options.time_scale);
+  append_number(out, ts * kMicrosPerSecond);
 }
 
 void append_complete_event(std::string& out, bool& first, std::string_view name,
-                           const char* category, int pid, int tid, double start,
-                           double end, const TimelineOptions& options,
-                           std::string_view args_body) {
-  append_event_head(out, first, "X", name, category, pid, tid, start, options);
+                           const char* category, int tid, double start,
+                           double end, std::string_view args_body) {
+  append_event_head(out, first, "X", name, category, tid, start);
   out += ", \"dur\": ";
-  append_number(out, (end > start ? end - start : 0.0) * options.time_scale);
+  append_number(out, (end > start ? end - start : 0.0) * kMicrosPerSecond);
   if (!args_body.empty()) {
     out += ", \"args\": {";
     out += args_body;
@@ -55,10 +55,9 @@ void append_complete_event(std::string& out, bool& first, std::string_view name,
 }
 
 void append_instant_event(std::string& out, bool& first, std::string_view name,
-                          const char* category, int pid, int tid, double ts,
-                          const TimelineOptions& options,
+                          const char* category, int tid, double ts,
                           std::string_view args_body) {
-  append_event_head(out, first, "i", name, category, pid, tid, ts, options);
+  append_event_head(out, first, "i", name, category, tid, ts);
   out += ", \"s\": \"t\"";
   if (!args_body.empty()) {
     out += ", \"args\": {";
@@ -68,22 +67,21 @@ void append_instant_event(std::string& out, bool& first, std::string_view name,
   out += '}';
 }
 
-void append_counter_event(std::string& out, bool& first, std::string_view name,
-                          int pid, int tid, double ts, double value,
-                          const TimelineOptions& options) {
-  append_event_head(out, first, "C", name, nullptr, pid, tid, ts, options);
+void append_counter_event(std::string& out, bool& first, int tid, double ts,
+                          double value) {
+  append_event_head(out, first, "C", "content/" + std::to_string(tid), nullptr,
+                    tid, ts);
   out += ", \"args\": {\"content\": ";
   append_number(out, value);
   out += "}}";
 }
 
-void append_thread_name(std::string& out, bool& first, int pid, int tid,
+void append_thread_name(std::string& out, bool& first, int tid,
                         std::string_view name) {
   if (!first) out += ",\n";
   first = false;
-  out += "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " +
-         std::to_string(pid) + ", \"tid\": " + std::to_string(tid) +
-         ", \"args\": {\"name\": ";
+  out += "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, \"tid\": " +
+         std::to_string(tid) + ", \"args\": {\"name\": ";
   append_json_string(out, name);
   out += "}}";
 }
@@ -107,10 +105,9 @@ bool is_frame_event(Event e) {
 void append_timeline_events(const SessionTrace& trace, int tid,
                             std::string& out, bool& first,
                             const TimelineOptions& options) {
-  const int pid = options.pid;
   const std::string label =
       trace.label().empty() ? "session " + std::to_string(tid) : trace.label();
-  append_thread_name(out, first, pid, tid, label);
+  append_thread_name(out, first, tid, label);
 
   // Session span with the terminal verdict in args.
   {
@@ -125,8 +122,8 @@ void append_timeline_events(const SessionTrace& trace, int tid,
     args += ", \"rounds\": " + std::to_string(trace.rounds().size());
     args += ", \"final_content\": ";
     append_number(args, trace.final_content());
-    append_complete_event(out, first, label, "session", pid, tid,
-                          trace.start_time(), trace.end_time(), options, args);
+    append_complete_event(out, first, label, "session", tid,
+                          trace.start_time(), trace.end_time(), args);
   }
 
   // One nested span per round (always available: RoundSummary is maintained
@@ -141,8 +138,7 @@ void append_timeline_events(const SessionTrace& trace, int tid,
     args += ", \"content\": ";
     append_number(args, r.content_end);
     append_complete_event(out, first, "round " + std::to_string(r.round),
-                          "round", pid, tid, r.start_time, r.end_time, options,
-                          args);
+                          "round", tid, r.start_time, r.end_time, args);
   }
 
   // Outage/backoff windows and per-frame instants need the captured event
@@ -156,8 +152,8 @@ void append_timeline_events(const SessionTrace& trace, int tid,
         break;
       case Event::kOutageEnd: {
         const double begin = open_outage >= 0.0 ? open_outage : e.time - e.value;
-        append_complete_event(out, first, "outage", "outage", pid, tid, begin,
-                              e.time, options, {});
+        append_complete_event(out, first, "outage", "outage", tid, begin,
+                              e.time, {});
         open_outage = -1.0;
         break;
       }
@@ -167,31 +163,31 @@ void append_timeline_events(const SessionTrace& trace, int tid,
       case Event::kOriginOutageEnd: {
         const double begin =
             open_origin_outage >= 0.0 ? open_origin_outage : e.time - e.value;
-        append_complete_event(out, first, "origin outage", "origin", pid, tid,
-                              begin, e.time, options, {});
+        append_complete_event(out, first, "origin outage", "origin", tid,
+                              begin, e.time, {});
         open_origin_outage = -1.0;
         break;
       }
       case Event::kHandoff:
         // Recorded after the handoff delay was charged; e.value is the delay.
-        append_complete_event(out, first, "handoff", "proxy", pid, tid,
-                              e.time - e.value, e.time, options, {});
+        append_complete_event(out, first, "handoff", "proxy", tid,
+                              e.time - e.value, e.time, {});
         break;
       case Event::kStaleFailover:
-        append_instant_event(out, first, event_name(e.type), "proxy", pid, tid,
-                             e.time, options, {});
+        append_instant_event(out, first, event_name(e.type), "proxy", tid,
+                             e.time, {});
         break;
       case Event::kReconcileDrop: {
         std::string args = "\"dropped\": ";
         append_number(args, e.value);
-        append_instant_event(out, first, event_name(e.type), "proxy", pid, tid,
-                             e.time, options, args);
+        append_instant_event(out, first, event_name(e.type), "proxy", tid,
+                             e.time, args);
         break;
       }
       case Event::kBackoff:
         // Recorded after the wait completed; e.value is the wait length.
-        append_complete_event(out, first, "backoff", "backoff", pid, tid,
-                              e.time - e.value, e.time, options, {});
+        append_complete_event(out, first, "backoff", "backoff", tid,
+                              e.time - e.value, e.time, {});
         break;
       case Event::kResume:
       case Event::kRetransmitRequest:
@@ -199,18 +195,17 @@ void append_timeline_events(const SessionTrace& trace, int tid,
       case Event::kAbortIrrelevant:
       case Event::kDegraded:
       case Event::kGiveUp:
-        append_instant_event(out, first, event_name(e.type), "control", pid,
-                             tid, e.time, options, {});
+        append_instant_event(out, first, event_name(e.type), "control", tid,
+                             e.time, {});
         break;
       default:
-        if (is_frame_event(e.type)) {
+        if (options.frames && is_frame_event(e.type)) {
           std::string args;
           if (e.seq >= 0) args = "\"seq\": " + std::to_string(e.seq);
-          append_instant_event(out, first, event_name(e.type), "frame", pid,
-                               tid, e.time, options, args);
-          if (options.content_counter && e.type == Event::kFrameIntact) {
-            append_counter_event(out, first, "content/" + std::to_string(tid),
-                                 pid, tid, e.time, e.value, options);
+          append_instant_event(out, first, event_name(e.type), "frame", tid,
+                               e.time, args);
+          if (e.type == Event::kFrameIntact) {
+            append_counter_event(out, first, tid, e.time, e.value);
           }
         }
         break;
@@ -219,19 +214,16 @@ void append_timeline_events(const SessionTrace& trace, int tid,
   if (open_outage >= 0.0) {
     // Session ended inside an outage (degraded/gave up while the link was
     // dead): close the span at the session end so it still renders.
-    append_complete_event(out, first, "outage", "outage", pid, tid, open_outage,
-                          trace.end_time(), options, {});
+    append_complete_event(out, first, "outage", "outage", tid, open_outage,
+                          trace.end_time(), {});
   }
   if (open_origin_outage >= 0.0) {
     // Same for a session that degraded while waiting out an origin fade with
     // no replica to fail over to.
-    append_complete_event(out, first, "origin outage", "origin", pid, tid,
-                          open_origin_outage, trace.end_time(), options, {});
+    append_complete_event(out, first, "origin outage", "origin", tid,
+                          open_origin_outage, trace.end_time(), {});
   }
-  if (options.content_counter) {
-    append_counter_event(out, first, "content/" + std::to_string(tid), pid,
-                         tid, trace.end_time(), trace.final_content(), options);
-  }
+  append_counter_event(out, first, tid, trace.end_time(), trace.final_content());
 }
 
 std::string timeline_json(const SessionTrace& trace,

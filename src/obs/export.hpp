@@ -7,9 +7,10 @@
 // chrome://tracing and ui.perfetto.dev load directly: the session, every
 // round, and every outage/backoff window become nested "X" (complete) spans,
 // per-frame classifications become instant events when the trace captured
-// them, and content progress becomes a counter track. Multi-session runs
-// (bench_outage sweeps, experiment repetitions) render as one track (tid)
-// per session so concurrent schedules line up visually.
+// them (and TimelineOptions::frames is on), and content progress becomes a
+// counter track. Multi-session runs (bench_outage sweeps, experiment
+// repetitions) render as one track (tid) per session so concurrent
+// schedules line up visually.
 //
 // prometheus_text() renders counters/gauges/histograms in the text
 // exposition format (one # TYPE block per metric family, cumulative
@@ -34,10 +35,13 @@ namespace mobiweb::obs {
 
 // ---------------------------------------------------------------- timeline
 
+// Every event is stamped pid 1, with trace seconds scaled to Perfetto's
+// microseconds.
 struct TimelineOptions {
-  int pid = 1;                // process id stamped on every event
-  double time_scale = 1e6;    // trace times are seconds; Perfetto wants us
-  bool content_counter = true;  // emit a "content" counter track per session
+  // Per-frame instants plus the content counter they step, when the trace
+  // captured them. Off, a track keeps its spans, control instants and the
+  // closing content value.
+  bool frames = true;
 };
 
 // Appends the trace's events (comma-separated, no enclosing brackets) to

@@ -87,20 +87,4 @@ void FlightRecorder::dump(std::string_view reason) {
   }
 }
 
-std::vector<Crumb> CrumbLog::snapshot() const {
-  std::vector<Crumb> out;
-  const std::size_t cap = ring_.size();
-  const std::size_t kept =
-      recorded_ < static_cast<long>(cap) ? static_cast<std::size_t>(recorded_)
-                                         : cap;
-  out.reserve(kept);
-  // Oldest retained crumb sits at next_ once the ring has wrapped.
-  const std::size_t begin =
-      recorded_ < static_cast<long>(cap) ? 0 : next_;
-  for (std::size_t i = 0; i < kept; ++i) {
-    out.push_back(ring_[(begin + i) % cap]);
-  }
-  return out;
-}
-
 }  // namespace mobiweb::obs

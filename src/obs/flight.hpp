@@ -1,5 +1,4 @@
-// Flight recorder: a fixed-size ring buffer of the most recent trace events,
-// and CrumbLog, its compact per-session cousin.
+// Flight recorder: a fixed-size ring buffer of the most recent trace events.
 //
 // Full per-frame capture on a 25-round lossy session costs thousands of
 // heap-allocated events, so production-shaped runs leave it off — and then a
@@ -12,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -61,47 +59,6 @@ class FlightRecorder {
   long recorded_ = 0;        // total events ever recorded
   int dump_count_ = 0;
   Sink sink_;
-};
-
-// One retained span breadcrumb. `aux` carries the small integer payload
-// (round number, dropped-packet count); `value` the double one (durations,
-// content).
-struct Crumb {
-  Event type = Event::kSessionStart;
-  std::int32_t aux = 0;
-  double time = 0.0;
-  double value = 0.0;
-};
-
-// Fixed-capacity ring of the most recent crumbs — the per-session analogue
-// of FlightRecorder, sized in the tens of bytes so a 1M-session fleet can
-// afford one each. Overwrites oldest at capacity; O(1) per push, no
-// allocation after construction.
-class CrumbLog {
- public:
-  explicit CrumbLog(std::size_t capacity)
-      : ring_(capacity == 0 ? 1 : capacity) {}
-
-  void push(Event type, double time, std::int32_t aux = 0, double value = 0.0) {
-    ring_[next_] = Crumb{type, aux, time, value};
-    next_ = (next_ + 1) % ring_.size();
-    ++recorded_;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  [[nodiscard]] long recorded() const { return recorded_; }
-  [[nodiscard]] long dropped() const {
-    const long cap = static_cast<long>(ring_.size());
-    return recorded_ > cap ? recorded_ - cap : 0;
-  }
-
-  // Retained crumbs, oldest first.
-  [[nodiscard]] std::vector<Crumb> snapshot() const;
-
- private:
-  std::vector<Crumb> ring_;
-  std::size_t next_ = 0;
-  long recorded_ = 0;
 };
 
 }  // namespace mobiweb::obs

@@ -181,12 +181,9 @@ void SessionTrace::reconcile_drop(double time, long dropped) {
   push(Event::kReconcileDrop, time, -1, static_cast<double>(dropped));
 }
 
-void SessionTrace::round_end(double time, double content) {
-  if (!rounds_.empty()) {
-    rounds_.back().end_time = time;
-    if (content >= 0.0) rounds_.back().content_end = content;
-  }
-  push(Event::kRoundEnd, time, -1, content >= 0.0 ? content : 0.0);
+void SessionTrace::round_end(double time) {
+  if (!rounds_.empty()) rounds_.back().end_time = time;
+  push(Event::kRoundEnd, time, -1, 0.0);
 }
 
 void SessionTrace::decode_complete(double time) {

@@ -119,9 +119,7 @@ class SessionTrace {
   void frame_foreign(double time);
   void frame_lost(double time);
   void retransmit_request(double time, long pending = -1);
-  // content >= 0 also records the round's closing information content (the
-  // real stack reaches it through frame_intact; replayed breadcrumbs don't).
-  void round_end(double time, double content = -1.0);
+  void round_end(double time);
   void outage_begin(double time);
   void outage_end(double time, double duration_s);
   void backoff(double time, double wait_s);

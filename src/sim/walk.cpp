@@ -27,21 +27,16 @@ class HookOutage final : public channel::OutageModel {
 
 }  // namespace
 
-void WalkSink::end(const TransferResult& r, double at, double t) {
+void WalkSink::end(const TransferResult& r, double at) {
   if (trace != nullptr) {
-    if (r.completed) trace->decode_complete(t);
-    else if (r.aborted_irrelevant) trace->abort_irrelevant(t, r.content);
-    else if (r.degraded) trace->degraded(t, r.content);
-    else trace->give_up(t);
-    trace->session_end(t, r.content);
+    if (r.completed) trace->decode_complete(at);
+    else if (r.aborted_irrelevant) trace->abort_irrelevant(at, r.content);
+    else if (r.degraded) trace->degraded(at, r.content);
+    else trace->give_up(at);
+    trace->session_end(at, r.content);
   }
   count(obs::Channel::kSessionsEnded, at);
   if (r.gave_up || r.degraded) count(obs::Channel::kSessionsFailed, at);
-  crumb(r.completed            ? obs::Event::kDecodeComplete
-        : r.aborted_irrelevant ? obs::Event::kAbortIrrelevant
-        : r.degraded           ? obs::Event::kDegraded
-                               : obs::Event::kGiveUp,
-        at, 0, r.content);
 }
 
 SessionWalk::SessionWalk(const std::vector<double>& clear_content,
@@ -106,7 +101,7 @@ std::optional<double> SessionWalk::step() {
   MOBIWEB_CHECK_MSG(!done_, "SessionWalk::step: the walk has already ended");
   if (!started_) {
     started_ = true;
-    if (sink_ != nullptr) sink_->start(clock_, t_);
+    if (sink_ != nullptr) sink_->start(clock_);
     // The initial request attaches to the assigned proxy before round 1;
     // degrading here ends the session with zero rounds.
     if (has_edge()) {
@@ -116,7 +111,7 @@ std::optional<double> SessionWalk::step() {
   }
 
   ++result_.rounds;
-  if (sink_ != nullptr) sink_->round_start(result_.rounds, clock_, t_);
+  if (sink_ != nullptr) sink_->round_start(result_.rounds, clock_);
   // The frame loop runs on local copies of the per-frame state and writes
   // them back once it stops: the model and sink calls in the loop would
   // otherwise make the compiler reload and store every member per frame.
@@ -153,7 +148,7 @@ std::optional<double> SessionWalk::step() {
       // In a fade: airtime burned, nothing delivered, and the corruption
       // model never sees the frame.
       ++result_.frames_lost;
-      if (sink != nullptr) sink->frame(i, FrameFate::kLost, clock, t, content);
+      if (sink != nullptr) sink->frame(i, FrameFate::kLost, clock, content);
       continue;
     }
     const bool corrupted = corrupt == nullptr ? rng.next_bernoulli(alpha) : (*corrupt)();
@@ -170,7 +165,7 @@ std::optional<double> SessionWalk::step() {
       }
     }
     if (sink != nullptr) {
-      sink->frame(i, fate, clock, t, intact >= m ? total_content_ : content);
+      sink->frame(i, fate, clock, intact >= m ? total_content_ : content);
     }
     // Reconstruction (condition 1) outranks the relevance abort (condition
     // 3) when one frame triggers both, as in TransferSession.
@@ -182,7 +177,7 @@ std::optional<double> SessionWalk::step() {
   }
   write_back();
 
-  if (sink_ != nullptr) sink_->round_end(result_.rounds, content_, clock_, t_);
+  if (sink_ != nullptr) sink_->round_end(clock_);
   // Give up at the cap before touching the back channel; `>=` so a counter
   // that ever steps past the cap still terminates.
   if (result_.rounds >= max_rounds_) return end(&TransferResult::gave_up);
@@ -200,7 +195,7 @@ std::optional<double> SessionWalk::step() {
     if (has_edge() && weak_->proxy_rng.next_bernoulli(weak_->edge->handoff_rate)) {
       ++weak_->stats.handoffs;
       charge(weak_->edge->handoff_delay_s);
-      if (sink_ != nullptr) sink_->handoff(clock_, t_, weak_->edge->handoff_delay_s);
+      if (sink_ != nullptr) sink_->handoff(clock_, weak_->edge->handoff_delay_s);
       if (!acquire_proxy()) return std::nullopt;
       reconcile();
     }
@@ -215,7 +210,7 @@ std::optional<double> SessionWalk::step() {
     }
     weak_->backoff = weak_->retry->initial_timeout_s;
   }
-  if (sink_ != nullptr && sink_->trace != nullptr) sink_->trace->retransmit_request(t_);
+  if (sink_ != nullptr && sink_->trace != nullptr) sink_->trace->retransmit_request(clock_);
   charge(static_cast<double>(tries) * request_delay_);
   if (!caching_) drop_cache();
   return clock_;
@@ -227,7 +222,7 @@ std::optional<double> SessionWalk::end(bool TransferResult::*verdict) {
   result_.time =
       static_cast<double>(result_.packets) * time_per_packet_ + stall_delay_;
   if (weak_ != nullptr) weak_->stats.ended_stale = weak_->serving_stale;
-  if (sink_ != nullptr) sink_->end(result_, clock_, t_);
+  if (sink_ != nullptr) sink_->end(result_, clock_);
   done_ = true;
   return std::nullopt;
 }
@@ -259,7 +254,7 @@ void SessionWalk::wait_one_backoff() {
   const double wait = w.backoff * (1.0 + w.retry->jitter * w.jitter_rng.next_double());
   charge(wait);
   result_.backoff_s += wait;
-  if (sink_ != nullptr && sink_->trace != nullptr) sink_->trace->backoff(t_, wait);
+  if (sink_ != nullptr && sink_->trace != nullptr) sink_->trace->backoff(clock_, wait);
   w.backoff = std::min(w.backoff * w.retry->backoff_multiplier, w.retry->max_backoff_s);
 }
 
@@ -288,12 +283,11 @@ bool SessionWalk::suspend_while_link_down() {
   const auto link_up = [&] { return w.link->link_up(t_, w.link_rng); };
   if (w.link == nullptr || link_up()) return true;
   const double at0 = clock_;
-  const double t0 = t_;
-  if (sink_ != nullptr) sink_->outage_begin(clock_, t_);
+  if (sink_ != nullptr) sink_->outage_begin(clock_);
   if (!ride_out(link_up)) return false;
   ++result_.suspensions;
   w.backoff = w.retry->initial_timeout_s;  // link is back: start fresh
-  if (sink_ != nullptr) sink_->outage_end(clock_, t_, clock_ - at0, t_ - t0);
+  if (sink_ != nullptr) sink_->outage_end(clock_, clock_ - at0);
   if (w.edge == nullptr) return true;
   if (!validate_serving()) return false;
   reconcile();
@@ -344,18 +338,17 @@ bool SessionWalk::validate_serving() {
     // Origin fade with a replica on hand: serve it, flagged stale.
     ++e.stats.stale_serves;
     e.serving_stale = true;
-    if (sink_ != nullptr) sink_->stale_failover(clock_, t_);
+    if (sink_ != nullptr) sink_->stale_failover(clock_);
     return true;
   }
   // Cold proxy AND origin down: ride out the origin fade under the link
   // outage's backoff discipline (budget-consuming, so an origin that never
   // returns still ends the session).
   const double at0 = clock_;
-  const double t0 = t_;
-  if (sink_ != nullptr) sink_->origin_outage_begin(clock_, t_);
+  if (sink_ != nullptr) sink_->origin_outage_begin(clock_);
   if (!origin_up_now() && !ride_out([this] { return origin_up_now(); })) return false;
   ++e.stats.origin_suspensions;
-  if (sink_ != nullptr) sink_->origin_outage_end(clock_, t_, clock_ - at0, t_ - t0);
+  if (sink_ != nullptr) sink_->origin_outage_end(clock_, clock_ - at0);
   e.backoff = e.retry->initial_timeout_s;  // origin is back: start fresh
   e.serving_stale = false;
   refresh_replica();
@@ -384,7 +377,7 @@ void SessionWalk::reconcile() {
   if (intact_ > 0) {
     e.stats.packets_refetched += intact_;
     e.stats.reconcile_dropped_packets += intact_;
-    if (sink_ != nullptr) sink_->reconcile_drop(clock_, t_, intact_);
+    if (sink_ != nullptr) sink_->reconcile_drop(clock_, intact_);
     drop_cache();
   }
   e.held_gen = e.replica_gen;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "channel/outage.hpp"
-#include "obs/flight.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "sim/proxied.hpp"
@@ -37,83 +36,71 @@ namespace mobiweb::sim {
 // How a frame fared at the client.
 enum class FrameFate { kLost, kCorrupted, kIntact, kDuplicate };
 
-// Where a walk reports what happens to it: an oracle's full SessionTrace on
-// the session clock `t`, and/or the fleet's bucketed counters plus the
-// session's breadcrumbs on the absolute clock `at`. Concrete and inline, so
-// reporting costs one null check per frame when no sink is attached.
+// Where a walk reports what happens to it: a full SessionTrace and/or the
+// fleet's bucketed counters, both on the absolute clock `at` (an oracle walk
+// starts at 0, so there it equals the session clock bit for bit). Concrete
+// and inline, so reporting costs one null check per frame when no sink is
+// attached.
 struct WalkSink {
   obs::SessionTrace* trace = nullptr;
   obs::TimeSeries* ts = nullptr;
-  obs::CrumbLog* crumbs = nullptr;  // required when `ts` is set
 
   void count(obs::Channel channel, double at, long n = 1) {
     if (ts != nullptr) ts->add(channel, at, n);
   }
-  void crumb(obs::Event event, double at, std::int32_t aux = 0, double value = 0.0) {
-    if (ts != nullptr) crumbs->push(event, at, aux, value);
-  }
-  void start(double at, double t) {
-    if (trace != nullptr) trace->session_start(t);
+  void start(double at) {
+    if (trace != nullptr) trace->session_start(at);
     count(obs::Channel::kSessionsStarted, at);
   }
-  void round_start(int round, double at, double t) {
-    if (trace != nullptr) trace->round_start(round, t);
-    crumb(obs::Event::kRoundStart, at, round);
+  void round_start(int round, double at) {
+    if (trace != nullptr) trace->round_start(round, at);
   }
-  void frame(int seq, FrameFate fate, double at, double t, double content) {
+  void frame(int seq, FrameFate fate, double at, double content) {
     if (trace != nullptr) {
-      trace->frame_sent(seq, t);
+      trace->frame_sent(seq, at);
       switch (fate) {
-        case FrameFate::kLost: trace->frame_lost(t); break;
-        case FrameFate::kCorrupted: trace->frame_corrupted(t); break;
-        case FrameFate::kIntact: trace->frame_intact(seq, t, content); break;
-        case FrameFate::kDuplicate: trace->frame_duplicate(seq, t); break;
+        case FrameFate::kLost: trace->frame_lost(at); break;
+        case FrameFate::kCorrupted: trace->frame_corrupted(at); break;
+        case FrameFate::kIntact: trace->frame_intact(seq, at, content); break;
+        case FrameFate::kDuplicate: trace->frame_duplicate(seq, at); break;
       }
     }
     count(obs::Channel::kFramesSent, at);
     if (fate == FrameFate::kLost) count(obs::Channel::kFramesLost, at);
   }
   // A stalled (non-terminal) round closed.
-  void round_end(int round, double content, double at, double t) {
-    if (trace != nullptr) trace->round_end(t);
+  void round_end(double at) {
+    if (trace != nullptr) trace->round_end(at);
     count(obs::Channel::kRounds, at);
-    crumb(obs::Event::kRoundEnd, at, round, content);
   }
-  void outage_begin(double at, double t) {
-    if (trace != nullptr) trace->outage_begin(t);
-    crumb(obs::Event::kOutageBegin, at);
+  void outage_begin(double at) {
+    if (trace != nullptr) trace->outage_begin(at);
   }
-  // The link is back after `at_span` / `t_span` seconds on either clock.
-  void outage_end(double at, double t, double at_span, double t_span) {
-    if (trace != nullptr) trace->outage_end(t, t_span);
-    if (trace != nullptr) trace->resume(t);
+  // The link is back after `span` seconds.
+  void outage_end(double at, double span) {
+    if (trace != nullptr) trace->outage_end(at, span);
+    if (trace != nullptr) trace->resume(at);
     count(obs::Channel::kSuspensions, at);
-    crumb(obs::Event::kOutageEnd, at, 0, at_span);
   }
-  void stale_failover(double at, double t) {
-    if (trace != nullptr) trace->stale_failover(t);
+  void stale_failover(double at) {
+    if (trace != nullptr) trace->stale_failover(at);
     count(obs::Channel::kStaleServes, at);
-    crumb(obs::Event::kStaleFailover, at);
   }
-  void origin_outage_begin(double at, double t) {
-    if (trace != nullptr) trace->origin_outage_begin(t);
-    crumb(obs::Event::kOriginOutageBegin, at);
+  void origin_outage_begin(double at) {
+    if (trace != nullptr) trace->origin_outage_begin(at);
   }
-  void origin_outage_end(double at, double t, double at_span, double t_span) {
-    if (trace != nullptr) trace->origin_outage_end(t, t_span);
-    crumb(obs::Event::kOriginOutageEnd, at, 0, at_span);
+  void origin_outage_end(double at, double span) {
+    if (trace != nullptr) trace->origin_outage_end(at, span);
   }
-  void reconcile_drop(double at, double t, int dropped) {
-    if (trace != nullptr) trace->reconcile_drop(t, dropped);
+  void reconcile_drop(double at, int dropped) {
+    if (trace != nullptr) trace->reconcile_drop(at, dropped);
     count(obs::Channel::kReconcileDrops, at, dropped);
-    crumb(obs::Event::kReconcileDrop, at, dropped);
   }
-  void handoff(double at, double t, double delay) {
-    if (trace != nullptr) trace->handoff(t, delay);
+  void handoff(double at, double delay) {
+    if (trace != nullptr) trace->handoff(at, delay);
     count(obs::Channel::kHandoffs, at);
-    crumb(obs::Event::kHandoff, at, 0, delay);
   }
-  void end(const TransferResult& r, double at, double t);
+  void end(const TransferResult& r, double at);
 };
 
 class SessionWalk {

@@ -1,8 +1,8 @@
-// Fleet telemetry: TimeSeries bucketing/clamping/merge algebra, the
-// per-session breadcrumb ring, tail-based trace retention (exact top-k plus
-// every failure, bounded, deterministic under ties), shard-count
-// bit-invariance of the whole exported timeline document, and the
-// FlightRecorder postmortem wiring for degraded / gave-up sessions.
+// Fleet telemetry: TimeSeries bucketing/clamping/merge algebra, tail-based
+// trace retention (exact top-k plus every failure, bounded, deterministic
+// under ties), retained traces replayed complete by FleetEngine::explain,
+// shard-count bit-invariance of the whole exported timeline document, and
+// the FlightRecorder postmortem wiring for degraded / gave-up sessions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "channel/outage.hpp"
 #include "fleet/engine.hpp"
 #include "fleet/telemetry.hpp"
+#include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/timeseries.hpp"
 
@@ -142,33 +143,6 @@ TEST(TimeSeries, ChannelNamesAreDistinctSnakeCase) {
   EXPECT_EQ(names.size(), obs::kChannelCount);
 }
 
-// ---- CrumbLog -------------------------------------------------------------
-
-TEST(CrumbLog, OverwritesOldestAndSnapshotsInOrder) {
-  fleet::CrumbLog log(4);
-  for (int i = 0; i < 6; ++i) {
-    log.push(obs::Event::kRoundEnd, static_cast<double>(i), i);
-  }
-  EXPECT_EQ(log.recorded(), 6);
-  EXPECT_EQ(log.dropped(), 2);
-  const std::vector<fleet::Crumb> kept = log.snapshot();
-  ASSERT_EQ(kept.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(kept[static_cast<std::size_t>(i)].aux, i + 2);  // oldest first
-  }
-}
-
-TEST(CrumbLog, UnderfilledSnapshotHasNoPadding) {
-  fleet::CrumbLog log(8);
-  log.push(obs::Event::kSessionStart, 0.0);
-  log.push(obs::Event::kDecodeComplete, 1.0);
-  EXPECT_EQ(log.dropped(), 0);
-  const std::vector<fleet::Crumb> kept = log.snapshot();
-  ASSERT_EQ(kept.size(), 2u);
-  EXPECT_EQ(kept[0].type, obs::Event::kSessionStart);
-  EXPECT_EQ(kept[1].type, obs::Event::kDecodeComplete);
-}
-
 // ---- Timeline document shard invariance -----------------------------------
 
 TEST(FleetTelemetry, TimelineDocumentBitIdenticalAcrossShardCounts) {
@@ -293,6 +267,66 @@ TEST(FleetTelemetry, MaterializedTracesCarryTheTerminalVerdict) {
   }
 }
 
+TEST(FleetTelemetry, RetainedTracesAreComplete) {
+  // A retained trace is its session's whole walk replayed: one summary per
+  // round, every frame sent and lost counted, every backoff wait, and the
+  // session's own start on the fleet's absolute clock.
+  fleet::FleetConfig cfg = lossy_config(250);
+  cfg.record_outcomes = true;
+  const fleet::FleetResult r = run_with_shards(cfg, 3);
+  ASSERT_GT(r.traces.size(), 0u);
+  for (const fleet::RetainedTrace& rt : r.traces) {
+    const fleet::SessionOutcome& o = r.outcomes[rt.session];
+    const obs::SessionTrace& t = rt.trace;
+    ASSERT_EQ(t.rounds().size(), static_cast<std::size_t>(o.result.rounds))
+        << "session " << rt.session;
+    long sent = 0;
+    long lost = 0;
+    for (const obs::RoundSummary& round : t.rounds()) {
+      sent += round.frames_sent;
+      lost += round.frames_lost;
+    }
+    EXPECT_EQ(sent, o.result.packets) << "session " << rt.session;
+    EXPECT_EQ(lost, o.result.frames_lost) << "session " << rt.session;
+    EXPECT_DOUBLE_EQ(t.backoff_total_s(), o.result.backoff_s);
+    EXPECT_EQ(t.start_time(), o.start_s) << "session " << rt.session;
+  }
+}
+
+TEST(FleetTelemetry, ExplainIsAPureFunctionOfTheSession) {
+  // Zipf documents and Poisson arrivals too: both are drawn once per engine,
+  // so a never-run engine must explain a session exactly as a run one does.
+  fleet::FleetConfig cfg = lossy_config(120);
+  cfg.zipf_s = 0.8;
+  cfg.arrival_rate_hz = 4.0;
+  cfg.record_outcomes = true;
+  fleet::FleetEngine cold(cfg);
+  for (const std::size_t shards : {1u, 4u}) {
+    cfg.shards = shards;
+    fleet::FleetEngine engine(cfg);
+    const fleet::FleetResult r = engine.run();
+    std::vector<std::size_t> picks = {0, 17, 63, 119};
+    for (const fleet::RetainedTrace& rt : r.traces) {
+      if (rt.failed) {
+        picks.push_back(rt.session);
+        break;
+      }
+    }
+    ASSERT_EQ(picks.size(), 5u) << "config must produce a failure";
+    for (const std::size_t i : picks) {
+      const obs::SessionTrace ran = engine.explain(i);
+      const obs::SessionTrace fresh = cold.explain(i);
+      EXPECT_EQ(ran.to_json(), fresh.to_json()) << "session " << i;
+      EXPECT_EQ(obs::timeline_json(ran), obs::timeline_json(fresh)) << "session " << i;
+      const mw::sim::TransferResult& o = r.outcomes[i].result;
+      EXPECT_EQ(ran.completed(), o.completed);
+      EXPECT_EQ(ran.aborted_irrelevant(), o.aborted_irrelevant);
+      EXPECT_EQ(ran.degraded(), o.degraded);
+      EXPECT_EQ(ran.gave_up(), o.gave_up);
+    }
+  }
+}
+
 // ---- FlightRecorder postmortem wiring -------------------------------------
 
 TEST(FleetTelemetry, FlightRecorderDumpsEveryFailedSession) {
@@ -332,4 +366,8 @@ TEST(FleetTelemetry, TelemetryNeverAltersSessionResults) {
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_DOUBLE_EQ(a.session_time_s, b.session_time_s);
   EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
+  // Retention replays look documents up again; the run's counters must not
+  // include those lookups.
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
 }
