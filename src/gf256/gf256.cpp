@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <string_view>
+#include <string>
 
 #include "obs/profile.hpp"
 
@@ -260,15 +260,18 @@ void mul_row_simd(Elem* out, const Elem* in, Elem c, std::size_t n) {
 
 // ---- kernel selection ----
 
+// A set but unknown or unavailable name is a configuration error: falling
+// back to kAuto would let a typo pass a scalar-vs-simd comparison vacuously.
 Kernel parse_kernel_env() {
   const char* v = std::getenv("MOBIWEB_GF_KERNEL");
   if (v == nullptr || v[0] == '\0') return Kernel::kAuto;
-  const std::string_view s(v);
-  for (Kernel k : {Kernel::kScalar, Kernel::kMulTable, Kernel::kSplitNibble,
-                   Kernel::kSimd, Kernel::kAuto}) {
-    if (s == kernel_name(k) && kernel_available(k)) return k;
-  }
-  return Kernel::kAuto;  // unknown or unavailable names fall back silently
+  const std::optional<Kernel> k = parse_kernel_name(v);
+  MOBIWEB_CHECK_MSG(k.has_value(), std::string("MOBIWEB_GF_KERNEL: unknown kernel '") +
+                                       v + "'");
+  MOBIWEB_CHECK_MSG(kernel_available(*k),
+                    std::string("MOBIWEB_GF_KERNEL: kernel '") + v +
+                        "' not supported on this CPU");
+  return *k;
 }
 
 std::atomic<Kernel>& kernel_state() {
@@ -287,6 +290,14 @@ const char* kernel_name(Kernel k) {
     case Kernel::kAuto: return "auto";
   }
   return "unknown";
+}
+
+std::optional<Kernel> parse_kernel_name(std::string_view name) {
+  for (Kernel k : {Kernel::kScalar, Kernel::kMulTable, Kernel::kSplitNibble,
+                   Kernel::kSimd, Kernel::kAuto}) {
+    if (name == kernel_name(k)) return k;
+  }
+  return std::nullopt;
 }
 
 bool kernel_available(Kernel k) {

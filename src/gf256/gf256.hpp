@@ -16,6 +16,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "util/check.hpp"
 
@@ -90,6 +92,10 @@ enum class Kernel : std::uint8_t {
 // Short stable name: "scalar", "multable", "splitnibble", "simd", "auto".
 const char* kernel_name(Kernel k);
 
+// Inverse of kernel_name(); nullopt for any other string. Says nothing about
+// whether the kernel can run here (see kernel_available).
+std::optional<Kernel> parse_kernel_name(std::string_view name);
+
 // True when `k` can execute on this CPU (kSimd needs SSSE3 or NEON; the
 // portable kernels and kAuto are always available).
 bool kernel_available(Kernel k);
@@ -99,7 +105,8 @@ Kernel resolve_kernel(Kernel k);
 
 // Process-wide kernel used by the two-argument row ops below. Initialised
 // from the MOBIWEB_GF_KERNEL environment variable when set (one of the
-// kernel_name() strings), else kAuto. set_kernel is thread-safe.
+// kernel_name() strings), else kAuto; a set value that is unknown or not
+// available on this CPU throws ContractViolation. set_kernel is thread-safe.
 Kernel active_kernel();
 void set_kernel(Kernel k);
 

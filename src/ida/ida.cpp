@@ -119,8 +119,25 @@ Decoder::Decoder(std::size_t m, std::size_t n) : m_(m), n_(n) {
   MOBIWEB_CHECK_MSG(n <= 255, "Decoder: n must be <= 255 over GF(2^8)");
 }
 
-std::vector<Bytes> Decoder::decode(
-    const std::vector<std::pair<std::size_t, Bytes>>& cooked) const {
+namespace {
+
+// The shared body of decode/decode_payload: validates `cooked`, takes its
+// first m distinct indices and returns the m raw packets back to back
+// (m * packet_size bytes).
+//
+// The code is systematic, so with m - k selected clear packets and k
+// selected redundancy packets R, only the k erased raw rows E are unknown.
+// Each r in R carries payload_r = sum_j g[r][j] raw_j. Moving the known clear
+// terms to the left (subtraction is xor in GF(2^8)) leaves k syndromes
+//
+//   s_r = payload_r + sum_{j clear} g[r][j] raw_j = sum_{e in E} g[r][e] raw_e
+//
+// so raw_E = B^-1 s with B = g[R][E]: a k x k inverse plus k*m row kernels,
+// where inverting the whole m x m sub-generator costs an m x m inverse plus
+// m*m row kernels. That sub-generator is block-triangular ([I 0; * B] up to
+// row order), so it is singular exactly when B is.
+Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
+                  std::size_t m, std::size_t n) {
   MOBIWEB_PROFILE_SCOPE("ida.decode");
   // Validate the whole input up front: a bad index or a mixed-size payload
   // must surface as a ContractViolation here, never as a silently singular
@@ -129,53 +146,90 @@ std::vector<Bytes> Decoder::decode(
   const std::size_t size = cooked.front().second.size();
   MOBIWEB_CHECK_MSG(size >= 1, "Decoder::decode: empty packets");
   for (const auto& [idx, data] : cooked) {
-    MOBIWEB_CHECK_MSG(idx < n_, "Decoder::decode: cooked index out of range");
+    MOBIWEB_CHECK_MSG(idx < n, "Decoder::decode: cooked index out of range");
     MOBIWEB_CHECK_MSG(data.size() == size, "Decoder::decode: packet sizes differ");
   }
 
   // Gather the first m distinct indices; duplicates carry no new information
   // and are skipped (they must not count toward the m required packets).
-  std::vector<std::size_t> indices;
-  std::vector<const Bytes*> payloads;
-  std::vector<bool> seen(n_, false);
+  // Selected clear packets go straight to their raw row.
+  Bytes out(m * size);
+  const auto row = [&](std::size_t j) { return out.data() + j * size; };
+  std::vector<bool> seen(n, false);
+  std::vector<std::pair<std::size_t, const Bytes*>> redundant;  // R
+  std::size_t selected = 0;
   for (const auto& [idx, data] : cooked) {
     if (seen[idx]) continue;
     seen[idx] = true;
-    indices.push_back(idx);
-    payloads.push_back(&data);
-    if (indices.size() == m_) break;
+    if (idx < m) {
+      std::copy(data.begin(), data.end(), row(idx));
+    } else {
+      redundant.emplace_back(idx, &data);
+    }
+    if (++selected == m) break;
   }
-  MOBIWEB_CHECK_MSG(indices.size() == m_,
+  MOBIWEB_CHECK_MSG(selected == m,
                     "Decoder::decode: need at least m distinct intact packets");
 
-  const gf::Matrix& g = systematic_generator(n_, m_);
-  const gf::Matrix sub = g.select_rows(indices);
-  const gf::Matrix inv = sub.inverse();
+  std::vector<std::size_t> clear;
+  std::vector<std::size_t> erased;
+  for (std::size_t j = 0; j < m; ++j) (seen[j] ? clear : erased).push_back(j);
+  const std::size_t k = erased.size();
+  if (k == 0) return out;
+
+  const gf::Matrix& g = systematic_generator(n, m);
+  gf::Matrix block(k, k);
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t e = 0; e < k; ++e) {
+      block.at(a, e) = g.at(redundant[a].first, erased[e]);
+    }
+  }
+  const gf::Matrix inv = block.inverse();
   MOBIWEB_CHECK_MSG(!inv.empty(),
                     "Decoder::decode: sub-generator singular (corrupt indices?)");
 
-  std::vector<Bytes> raw(m_);
-  // Like encode: output rows are independent, so shard them across the pool.
-  for_each_row_range(0, m_, m_ * size, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      raw[i].assign(size, 0);
-      for (std::size_t j = 0; j < m_; ++j) {
-        gf::mul_add_row(raw[i].data(), payloads[j]->data(), inv.at(i, j), size);
+  // Syndrome and solution rows are each independent, so both passes shard
+  // across the pool.
+  Bytes syndromes(k * size);
+  const auto syndrome = [&](std::size_t a) { return syndromes.data() + a * size; };
+  const std::size_t syndrome_work = (clear.size() + 1) * size;
+  for_each_row_range(0, k, syndrome_work, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t a = lo; a < hi; ++a) {
+      const auto& [r, payload] = redundant[a];
+      std::copy(payload->begin(), payload->end(), syndrome(a));
+      for (const std::size_t j : clear) {
+        gf::mul_add_row(syndrome(a), row(j), g.at(r, j), size);
       }
     }
   });
+  for_each_row_range(0, k, k * size, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t e = lo; e < hi; ++e) {
+      for (std::size_t a = 0; a < k; ++a) {
+        gf::mul_add_row(row(erased[e]), syndrome(a), inv.at(e, a), size);
+      }
+    }
+  });
+  return out;
+}
+
+}  // namespace
+
+std::vector<Bytes> Decoder::decode(
+    const std::vector<std::pair<std::size_t, Bytes>>& cooked) const {
+  const Bytes flat = decode_flat(cooked, m_, n_);
+  const std::size_t size = flat.size() / m_;
+  std::vector<Bytes> raw(m_);
+  for (std::size_t i = 0; i < m_; ++i) {
+    const auto begin = flat.begin() + static_cast<std::ptrdiff_t>(i * size);
+    raw[i].assign(begin, begin + static_cast<std::ptrdiff_t>(size));
+  }
   return raw;
 }
 
 Bytes Decoder::decode_payload(
     const std::vector<std::pair<std::size_t, Bytes>>& cooked,
     std::size_t payload_size) const {
-  auto raw = decode(cooked);
-  Bytes out;
-  out.reserve(payload_size);
-  for (const auto& p : raw) {
-    out.insert(out.end(), p.begin(), p.end());
-  }
+  Bytes out = decode_flat(cooked, m_, n_);
   MOBIWEB_CHECK_MSG(out.size() >= payload_size,
                     "Decoder::decode_payload: payload_size exceeds decoded data");
   out.resize(payload_size);
@@ -186,7 +240,7 @@ StreamingDecoder::StreamingDecoder(std::size_t m, std::size_t n,
                                    std::size_t packet_size,
                                    std::size_t payload_size)
     : m_(m), n_(n), packet_size_(packet_size), payload_size_(payload_size),
-      seen_(n, false) {
+      seen_(n, false), clear_slot_(m, kNoSlot) {
   MOBIWEB_CHECK_MSG(m >= 1 && n >= m && n <= 255, "StreamingDecoder: bad (m, n)");
   MOBIWEB_CHECK_MSG(packet_size >= 1, "StreamingDecoder: packet_size must be >= 1");
   MOBIWEB_CHECK_MSG(payload_size >= 1 && payload_size <= m * packet_size,
@@ -201,8 +255,14 @@ bool StreamingDecoder::add(std::size_t index, ByteSpan payload) {
   seen_[index] = true;
   // Keep every clear-text packet (callers read them via clear_packet) and at
   // most m packets overall for reconstruction; later redundancy packets add
-  // nothing once m are held.
-  if (held_.size() < m_ || index < m_) {
+  // nothing once m are held. Clear packets sit ahead of redundancy ones, so
+  // reconstruct() selects as many as it can and solves the fewest erasures.
+  if (index < m_) {
+    held_.emplace_back(index, Bytes(payload.begin(), payload.end()));
+    std::rotate(held_.begin() + static_cast<std::ptrdiff_t>(clear_held_),
+                held_.end() - 1, held_.end());
+    clear_slot_[index] = clear_held_++;
+  } else if (held_.size() < m_) {
     held_.emplace_back(index, Bytes(payload.begin(), payload.end()));
   }
   return true;
@@ -215,18 +275,13 @@ bool StreamingDecoder::has(std::size_t index) const {
 
 bool StreamingDecoder::has_clear(std::size_t raw_index) const {
   MOBIWEB_CHECK_MSG(raw_index < m_, "StreamingDecoder::has_clear: index out of range");
-  return seen_[raw_index];
+  return clear_slot_[raw_index] != kNoSlot;
 }
 
 ByteSpan StreamingDecoder::clear_packet(std::size_t raw_index) const {
   MOBIWEB_CHECK_MSG(has_clear(raw_index),
                     "StreamingDecoder::clear_packet: packet not held in clear");
-  for (const auto& [idx, data] : held_) {
-    if (idx == raw_index) return ByteSpan(data);
-  }
-  // seen_ true but not held can only happen for indices beyond the first m
-  // useful packets, which has_clear already rejects for clear-prefix indices.
-  throw ContractViolation("StreamingDecoder::clear_packet: internal inconsistency");
+  return ByteSpan(held_[clear_slot_[raw_index]].second);
 }
 
 Bytes StreamingDecoder::reconstruct() const {
@@ -237,16 +292,14 @@ Bytes StreamingDecoder::reconstruct() const {
 }
 
 double StreamingDecoder::clear_fraction() const {
-  std::size_t clear = 0;
-  for (std::size_t i = 0; i < m_; ++i) {
-    if (seen_[i]) ++clear;
-  }
-  return static_cast<double>(clear) / static_cast<double>(m_);
+  return static_cast<double>(clear_held_) / static_cast<double>(m_);
 }
 
 void StreamingDecoder::reset() {
   held_.clear();
+  clear_held_ = 0;
   std::fill(seen_.begin(), seen_.end(), false);
+  std::fill(clear_slot_.begin(), clear_slot_.end(), kNoSlot);
 }
 
 }  // namespace mobiweb::ida

@@ -6,8 +6,9 @@
 //
 //   * cooked packets 0..M-1 are byte-identical to the raw packets (clear
 //     text), so a receiver can use them immediately without any decoding;
-//   * ANY M intact cooked packets reconstruct all M raw packets by inverting
-//     the corresponding M x M sub-generator.
+//   * ANY M intact cooked packets reconstruct all M raw packets. A decode
+//     from M - k clear packets and k redundancy packets only solves for the
+//     k erased raw packets, inverting a k x k block of the generator.
 //
 // This mirrors Rabin's IDA with the paper's modification: "adopt the
 // Vandermonde polynomial in the transformation stage, followed by making the
@@ -33,6 +34,7 @@ const gf::Matrix& systematic_generator(std::size_t n, std::size_t m);
 // Encode/decode shard their independent output rows across the global
 // ThreadPool when the matrix work (rows to compute x m x packet bytes,
 // i.e. byte-multiplies) reaches this threshold; smaller jobs run serially.
+// Encode computes the n - m redundancy rows; decode the k erased rows.
 // Sharding never changes output bytes — rows are computed independently.
 // `set_parallel_threshold` returns the previous value (0 forces the parallel
 // path for any size; handy in tests and benchmarks). Thread-safe.
@@ -78,8 +80,10 @@ class Decoder {
   [[nodiscard]] std::size_t n() const { return n_; }
 
   // `cooked` holds (cooked index, payload); payloads must share one size.
-  // Uses the first m distinct indices. Throws ContractViolation when fewer
-  // than m distinct intact packets are supplied.
+  // Uses the first m distinct indices: clear-text ones are copied through,
+  // and the k redundancy ones among them recover the k missing raw packets.
+  // Throws ContractViolation when fewer than m distinct intact packets are
+  // supplied.
   [[nodiscard]] std::vector<Bytes> decode(
       const std::vector<std::pair<std::size_t, Bytes>>& cooked) const;
 
@@ -140,11 +144,18 @@ class StreamingDecoder {
   std::size_t n_;
   std::size_t packet_size_;
   std::size_t payload_size_;
-  // (cooked index, payload), insertion order. Clear-text packets are always
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  // (cooked index, payload): the clear-text packets in arrival order, then
+  // the redundancy packets in arrival order. Clear-text packets are always
   // kept (clients read them incrementally); redundancy packets only until m
   // are held — beyond that they add nothing.
   std::vector<std::pair<std::size_t, Bytes>> held_;
+  std::size_t clear_held_ = 0;  // length of held_'s clear-text prefix
   std::vector<bool> seen_;
+  // held_ position of each raw index's clear-text packet, or kNoSlot. Slots
+  // never move: later clear packets only displace redundancy packets.
+  std::vector<std::size_t> clear_slot_;
 };
 
 }  // namespace mobiweb::ida

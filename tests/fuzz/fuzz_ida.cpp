@@ -1,22 +1,28 @@
 // Fuzz target: the IDA erasure-coding pipeline with arbitrary share subsets,
 // plus the serial-vs-parallel differential oracle. The provider picks a
 // shape (m, n, packet_size), a payload, and a permutation of cooked-packet
-// indices; the harness checks that
+// indices, optionally biased toward mostly-clear subsets (the common case:
+// few erasures); the harness checks that
 //
 //   * serial and row-sharded parallel encode/decode produce identical bytes;
-//   * ANY m distinct cooked packets reconstruct the payload exactly;
+//   * ANY m distinct cooked packets reconstruct the payload exactly, and
+//     decode agrees with a reference that inverts the whole m x m
+//     sub-generator and multiplies it out with scalar field arithmetic;
 //   * the streaming decoder reaches the same payload through out-of-order,
 //     duplicated arrivals;
 //   * fewer than m distinct packets is rejected with ContractViolation.
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "fuzz_input.hpp"
+#include "gf256/matrix.hpp"
 #include "ida/ida.hpp"
 #include "util/check.hpp"
 
+namespace gf = mobiweb::gf;
 namespace ida = mobiweb::ida;
 using mobiweb::Bytes;
 using mobiweb::ByteSpan;
@@ -37,6 +43,26 @@ auto serial_vs_parallel(Fn&& fn) {
   MOBIWEB_FUZZ_ASSERT(serial == parallel,
                       "serial and parallel paths produced different bytes");
   return serial;
+}
+
+// Full-inverse reference over m distinct shares, in order.
+std::vector<Bytes> full_inverse_decode(
+    std::size_t m, std::size_t n,
+    const std::vector<std::pair<std::size_t, Bytes>>& shares) {
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < m; ++i) indices.push_back(shares[i].first);
+  const gf::Matrix inv = ida::systematic_generator(n, m).select_rows(indices).inverse();
+  MOBIWEB_FUZZ_ASSERT(!inv.empty(), "m distinct shares gave a singular sub-generator");
+  const std::size_t size = shares.front().second.size();
+  std::vector<Bytes> raw(m, Bytes(size, 0));
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      for (std::size_t b = 0; b < size; ++b) {
+        raw[i][b] ^= gf::mul(inv.at(i, j), shares[j].second[b]);
+      }
+    }
+  }
+  return raw;
 }
 
 }  // namespace
@@ -74,12 +100,29 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     std::swap(order[i], order[in.take_index(i + 1)]);
   }
 
+  // Mostly-clear bias: move a provider-chosen number of clear shares into
+  // the first m slots, so subsets with few erasures (down to none) are as
+  // reachable as uniform ones, then rotate those slots so redundancy shares
+  // can still arrive first.
+  if (in.take_bool()) {
+    const std::size_t clear = in.take_in_range(0, m);
+    for (std::size_t raw = 0; raw < clear; ++raw) {
+      std::swap(*std::find(order.begin(), order.end(), raw), order[raw]);
+    }
+    const auto first = order.begin();
+    std::rotate(first, first + static_cast<std::ptrdiff_t>(in.take_index(m)),
+                first + static_cast<std::ptrdiff_t>(m));
+  }
+
   std::vector<std::pair<std::size_t, Bytes>> kept;
   for (std::size_t i = 0; i < m; ++i) kept.emplace_back(order[i], cooked[order[i]]);
+  const std::vector<Bytes> expect = full_inverse_decode(m, n, kept);
   // Duplicates must be ignored, not counted toward the m required shares.
   if (in.take_bool() && !kept.empty()) kept.push_back(kept.front());
 
   const ida::Decoder dec(m, n);
+  const std::vector<Bytes> raw = serial_vs_parallel([&] { return dec.decode(kept); });
+  MOBIWEB_FUZZ_ASSERT(raw == expect, "decode differs from the full-inverse reference");
   const Bytes decoded = serial_vs_parallel(
       [&] { return dec.decode_payload(kept, payload.size()); });
   MOBIWEB_FUZZ_ASSERT(decoded == payload,

@@ -61,6 +61,18 @@ TEST(GfKernels, NamesAndAvailability) {
   EXPECT_TRUE(gf::kernel_available(gf::Kernel::kAuto));
 }
 
+TEST(GfKernels, ParseKernelNameRoundTripsAndRejectsUnknown) {
+  for (const gf::Kernel k : {gf::Kernel::kScalar, gf::Kernel::kMulTable,
+                             gf::Kernel::kSplitNibble, gf::Kernel::kSimd,
+                             gf::Kernel::kAuto}) {
+    EXPECT_EQ(gf::parse_kernel_name(gf::kernel_name(k)), k);
+  }
+  // Typos, case changes and padding are errors, never a silent kAuto.
+  for (const char* bad : {"scaler", "SIMD", " simd", "simd ", "", "unknown"}) {
+    EXPECT_EQ(gf::parse_kernel_name(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 TEST(GfKernels, AutoResolvesToConcreteAvailableKernel) {
   const gf::Kernel k = gf::resolve_kernel(gf::Kernel::kAuto);
   EXPECT_NE(k, gf::Kernel::kAuto);

@@ -3,11 +3,16 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <tuple>
 
 #include "ida/ida.hpp"
+#include "obs/profile.hpp"
 #include "util/rng.hpp"
 
+namespace gf = mobiweb::gf;
 namespace ida = mobiweb::ida;
+namespace obs = mobiweb::obs;
 using mobiweb::Bytes;
 using mobiweb::ByteSpan;
 using mobiweb::ContractViolation;
@@ -19,6 +24,48 @@ Bytes random_payload(std::size_t size, Rng& rng) {
   Bytes out(size);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_below(256));
   return out;
+}
+
+using Shares = std::vector<std::pair<std::size_t, Bytes>>;
+
+void shuffle(std::vector<std::size_t>& v, Rng& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    std::swap(v[i - 1], v[rng.next_below(i)]);
+  }
+}
+
+// The decode the erasure-only solve replaces: invert the whole m x m
+// sub-generator of the first m distinct indices and multiply it out byte by
+// byte with scalar field arithmetic (no row kernels).
+std::vector<Bytes> full_inverse_decode(std::size_t m, std::size_t n,
+                                       const Shares& shares) {
+  std::vector<std::size_t> indices;
+  std::vector<const Bytes*> payloads;
+  std::vector<bool> seen(n, false);
+  for (const auto& [idx, data] : shares) {
+    if (seen[idx] || indices.size() == m) continue;
+    seen[idx] = true;
+    indices.push_back(idx);
+    payloads.push_back(&data);
+  }
+  const gf::Matrix inv = ida::systematic_generator(n, m).select_rows(indices).inverse();
+  const std::size_t size = shares.front().second.size();
+  std::vector<Bytes> raw(m, Bytes(size, 0));
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      for (std::size_t b = 0; b < size; ++b) {
+        raw[i][b] ^= gf::mul(inv.at(i, j), (*payloads[j])[b]);
+      }
+    }
+  }
+  return raw;
+}
+
+long calls(const obs::Profiler& profiler, const std::string& name) {
+  for (const auto& e : profiler.report()) {
+    if (e.name == name) return e.count;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -314,3 +361,161 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple<int, int, int>{100, 150, 25600},
                       std::tuple<int, int, int>{100, 255, 25600},
                       std::tuple<int, int, int>{255, 255, 2550}));
+
+// Differential: the erasure-only solve against the full-inverse reference,
+// over random shapes (m = 1, m = n and n = 255 included), every erasure count
+// k in {0, 1, m/2, m} the shape allows, duplicated shares, and clear shares
+// arriving after redundancy ones.
+TEST(IdaDifferential, MatchesFullInverseDecode) {
+  Rng rng(40);
+  std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 1}, {1, 9}, {6, 6}, {40, 60}, {20, 255}, {128, 255}, {255, 255}};
+  for (int i = 0; i < 12; ++i) {
+    const std::size_t m = 1 + rng.next_below(64);
+    shapes.emplace_back(m, m + rng.next_below(256 - m));
+  }
+  for (const auto& [m, n] : shapes) {
+    const std::size_t packet_size = 1 + rng.next_below(24);
+    const Bytes payload =
+        random_payload((m - 1) * packet_size + 1 + rng.next_below(packet_size), rng);
+    const auto cooked = ida::Encoder(m, n).encode_payload(ByteSpan(payload), packet_size);
+    const ida::Decoder dec(m, n);
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, m / 2, m}) {
+      if (k > n - m) continue;
+      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                   " k=" + std::to_string(k));
+      std::vector<std::size_t> clear(m);
+      std::iota(clear.begin(), clear.end(), 0u);
+      std::vector<std::size_t> redundant(n - m);
+      std::iota(redundant.begin(), redundant.end(), m);
+      shuffle(clear, rng);
+      shuffle(redundant, rng);
+      // k redundancy shares, then m - k clear ones, then a shuffle that may
+      // leave any clear share behind any redundancy one.
+      std::vector<std::size_t> order(redundant.begin(),
+                                     redundant.begin() + static_cast<std::ptrdiff_t>(k));
+      order.insert(order.end(), clear.begin(),
+                   clear.begin() + static_cast<std::ptrdiff_t>(m - k));
+      if (rng.next_below(2) == 0) shuffle(order, rng);
+      Shares shares;
+      for (const std::size_t idx : order) {
+        shares.emplace_back(idx, cooked[idx]);
+        if (rng.next_below(4) == 0) shares.emplace_back(idx, cooked[idx]);
+      }
+
+      const auto expect = full_inverse_decode(m, n, shares);
+      Bytes expect_payload;
+      for (const auto& row : expect) {
+        expect_payload.insert(expect_payload.end(), row.begin(), row.end());
+      }
+      expect_payload.resize(payload.size());
+      ASSERT_EQ(expect_payload, payload);
+      EXPECT_EQ(dec.decode(shares), expect);
+      EXPECT_EQ(dec.decode_payload(shares, payload.size()), expect_payload);
+      ida::StreamingDecoder sd(m, n, packet_size, payload.size());
+      for (const auto& [idx, data] : shares) sd.add(idx, ByteSpan(data));
+      ASSERT_TRUE(sd.complete());
+      EXPECT_EQ(sd.reconstruct(), expect_payload);
+    }
+  }
+}
+
+// The streaming decoder may hold more than m packets (every clear packet is
+// kept); reconstruction must reach the same bytes whatever arrived first.
+TEST(IdaDifferential, StreamingClearAfterRedundancy) {
+  Rng rng(41);
+  const Bytes payload = random_payload(10240, rng);
+  const auto cooked = ida::Encoder(40, 60).encode_payload(ByteSpan(payload), 256);
+  ida::StreamingDecoder sd(40, 60, 256, payload.size());
+  for (std::size_t i = 40; i < 60; ++i) sd.add(i, ByteSpan(cooked[i]));
+  for (std::size_t i = 0; i < 40; i += 2) sd.add(i, ByteSpan(cooked[i]));
+  EXPECT_EQ(sd.intact_count(), 40u);
+  EXPECT_EQ(sd.reconstruct(), payload);
+  for (std::size_t i = 1; i < 40; i += 2) sd.add(i, ByteSpan(cooked[i]));
+  EXPECT_EQ(sd.intact_count(), 60u);
+  EXPECT_EQ(sd.reconstruct(), payload);
+}
+
+TEST(Streaming, ClearPacketLookupAcrossArrivalOrders) {
+  Rng rng(42);
+  const Bytes payload = random_payload(10240, rng);
+  const auto cooked = ida::Encoder(40, 60).encode_payload(ByteSpan(payload), 256);
+  std::vector<std::size_t> order(60);
+  std::iota(order.begin(), order.end(), 0u);
+  shuffle(order, rng);
+  ida::StreamingDecoder sd(40, 60, 256, payload.size());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::size_t idx : order) {
+      sd.add(idx, ByteSpan(cooked[idx]));
+      for (std::size_t raw = 0; raw < 40; ++raw) {
+        if (!sd.has_clear(raw)) continue;
+        const ByteSpan clear = sd.clear_packet(raw);
+        ASSERT_TRUE(std::equal(clear.begin(), clear.end(), cooked[raw].begin(),
+                               cooked[raw].end()))
+            << "raw=" << raw;
+      }
+    }
+    EXPECT_EQ(sd.reconstruct(), payload);
+    sd.reset();
+    EXPECT_THROW((void)sd.clear_packet(order.front() % 40), ContractViolation);
+    std::reverse(order.begin(), order.end());
+  }
+}
+
+// Pins the work: 36 clear + 4 redundancy packets at (40, 60) solve a k = 4
+// block, so the row kernels run k*M = 160 times (4 x 36 for the syndromes,
+// 4 x 4 for the solve) outside that 4 x 4 inverse, serially. The flat
+// profile counts the inverse's own row updates under the same name, so they
+// are measured separately and subtracted.
+TEST(IdaDecodeWork, MostlyClearInvertsOnlyTheErasedBlock) {
+  Rng rng(43);
+  const Bytes payload = random_payload(10240, rng);
+  const auto cooked = ida::Encoder(40, 60).encode_payload(ByteSpan(payload), 256);
+  Shares held;
+  for (std::size_t i = 0; i < 36; ++i) held.emplace_back(i, cooked[i]);
+  for (std::size_t i = 40; i < 44; ++i) held.emplace_back(i, cooked[i]);
+  const ida::Decoder dec(40, 60);
+
+  const gf::Matrix& g = ida::systematic_generator(60, 40);
+  gf::Matrix block(4, 4);
+  for (std::size_t a = 0; a < 4; ++a) {
+    for (std::size_t b = 0; b < 4; ++b) block.at(a, b) = g.at(40 + a, 36 + b);
+  }
+  obs::Profiler invert_only;
+  invert_only.attach();
+  ASSERT_FALSE(block.inverse().empty());
+  obs::Profiler::detach();
+
+  obs::Profiler profiler;
+  profiler.attach();
+  const Bytes decoded = dec.decode_payload(held, payload.size());
+  obs::Profiler::detach();
+  EXPECT_EQ(decoded, payload);
+  EXPECT_EQ(calls(profiler, "gf.invert"), 1);
+  EXPECT_LE(calls(profiler, "gf.mul_add_row") -
+                calls(invert_only, "gf.mul_add_row"),
+            4 * 40);
+  EXPECT_EQ(calls(profiler, "gf.mul_row"), calls(invert_only, "gf.mul_row"));
+  EXPECT_EQ(calls(profiler, "ida.rows.serial"), 2);  // syndromes, then solve
+  EXPECT_EQ(calls(profiler, "ida.rows.parallel"), 0);
+}
+
+TEST(IdaDecodeWork, StreamingPrefersHeldClearPackets) {
+  Rng rng(44);
+  const Bytes payload = random_payload(10240, rng);
+  const auto cooked = ida::Encoder(40, 60).encode_payload(ByteSpan(payload), 256);
+  ida::StreamingDecoder sd(40, 60, 256, payload.size());
+  // Redundancy first: had held_ kept arrival order, decode would select all
+  // 20 redundancy packets (k = 20); clear-first selection leaves k = 0.
+  for (std::size_t i = 40; i < 60; ++i) sd.add(i, ByteSpan(cooked[i]));
+  for (std::size_t i = 0; i < 40; ++i) sd.add(i, ByteSpan(cooked[i]));
+
+  obs::Profiler profiler;
+  profiler.attach();
+  const Bytes decoded = sd.reconstruct();
+  obs::Profiler::detach();
+  EXPECT_EQ(decoded, payload);
+  EXPECT_EQ(calls(profiler, "ida.reconstruct"), 1);
+  EXPECT_EQ(calls(profiler, "gf.invert"), 0);
+  EXPECT_EQ(calls(profiler, "gf.mul_add_row"), 0);
+}
