@@ -380,3 +380,79 @@ TEST(ResilientSession, RequestInsideAFadeIsHeldOffUntilResume) {
   EXPECT_EQ(rig.ch.stats().feedback_sent, 1);
   EXPECT_EQ(rig.ch.stats().feedback_lost, 0);
 }
+
+// On a link that never fails and a back channel that never drops, the
+// resilient session is the plain one: its re-request round trip
+// (feedback_delay_s) is TransferSession's request_delay_s, and a retry budget
+// above max_rounds never degrades. Both must then report the same result and
+// the same trace, and each trace must end at the instant the result's
+// response_time names: the terminating arrival, propagation included.
+TEST(ResilientSession, MatchesTransferSessionOnAReliableLink) {
+  const auto linear = make_linear();
+  const transmit::DocumentTransmitter tx(
+      linear, {.packet_size = 64, .gamma = 1.5, .doc_id = 9});
+  constexpr double kDelay = 0.4;
+  int completed = 0;
+  int gave_up = 0;
+  for (const double propagation : {0.0, 0.25}) {
+    for (const double alpha : {0.1, 0.45, 0.7}) {
+      for (const bool caching : {true, false}) {
+        for (const double threshold : {-1.0, 0.5}) {
+          SCOPED_TRACE("propagation=" + std::to_string(propagation) +
+                       " alpha=" + std::to_string(alpha) +
+                       " caching=" + std::to_string(caching) +
+                       " threshold=" + std::to_string(threshold));
+          const auto make_channel = [&](double feedback_delay) {
+            channel::ChannelConfig cc;
+            cc.propagation_delay_s = propagation;
+            cc.feedback_delay_s = feedback_delay;
+            cc.seed = 77;
+            return channel::WirelessChannel(
+                cc, std::make_unique<channel::IidErrorModel>(alpha));
+          };
+          const auto rc = Rig::make_receiver_config(tx, caching);
+
+          channel::WirelessChannel plain_ch = make_channel(0.0);
+          transmit::ClientReceiver plain_rx(rc, tx.document().segments);
+          obs::SessionTrace plain_trace;
+          plain_trace.capture_events(true);
+          transmit::SessionConfig sc;
+          sc.relevance_threshold = threshold;
+          sc.request_delay_s = kDelay;
+          sc.max_rounds = 4;
+          sc.trace = &plain_trace;
+          const transmit::SessionResult plain =
+              transmit::TransferSession(tx, plain_rx, plain_ch, sc).run();
+
+          channel::WirelessChannel res_ch = make_channel(kDelay);
+          transmit::ClientReceiver res_rx(rc, tx.document().segments);
+          obs::SessionTrace res_trace;
+          res_trace.capture_events(true);
+          transmit::ResilientConfig cfg;
+          cfg.relevance_threshold = threshold;
+          cfg.max_rounds = sc.max_rounds;
+          cfg.retry.retry_budget = sc.max_rounds + 1;
+          cfg.trace = &res_trace;
+          const transmit::SessionResult res =
+              transmit::ResilientSession(tx, res_rx, res_ch, cfg).run().session;
+
+          EXPECT_EQ(res.status, plain.status);
+          EXPECT_EQ(res.completed, plain.completed);
+          EXPECT_EQ(res.aborted_irrelevant, plain.aborted_irrelevant);
+          EXPECT_EQ(res.rounds, plain.rounds);
+          EXPECT_EQ(res.frames_sent, plain.frames_sent);
+          EXPECT_EQ(res.content_received, plain.content_received);
+          EXPECT_EQ(res.response_time, plain.response_time);
+          EXPECT_EQ(res_trace.to_json(), plain_trace.to_json());
+          EXPECT_EQ(plain_trace.response_time(), plain.response_time);
+          EXPECT_EQ(res_trace.response_time(), res.response_time);
+          completed += plain.completed ? 1 : 0;
+          gave_up += plain.status == transmit::SessionStatus::kGaveUp ? 1 : 0;
+        }
+      }
+    }
+  }
+  // The grid must reach both terminal outcomes the end stamp covers.
+  EXPECT_GT(completed, 0);
+  EXPECT_GT(gave_up, 0);
+}
