@@ -30,6 +30,7 @@
 #include "doc/content.hpp"
 #include "doc/linear.hpp"
 #include "obs/trace.hpp"
+#include "sim/transfer.hpp"
 #include "transmit/adaptive.hpp"
 #include "transmit/receiver.hpp"
 #include "transmit/resilient.hpp"
@@ -105,7 +106,7 @@ struct BrowseConfig {
   // and exhausting `retry` degrades gracefully into FetchResult::partial
   // instead of hanging or returning nothing.
   bool resilient = false;
-  transmit::RetryPolicy retry;
+  sim::RetryConfig retry;
 };
 
 struct FetchOptions {

@@ -9,7 +9,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/flight.hpp"
 #include "obs/profile.hpp"
 #include "sim/walk.hpp"
 #include "util/check.hpp"
@@ -260,18 +259,16 @@ sim::SessionWalk& FleetEngine::emplace_walk(std::vector<sim::SessionWalk>& walks
   return w;
 }
 
-obs::SessionTrace FleetEngine::explain(std::size_t i, obs::FlightRecorder* flight) {
+obs::SessionTrace FleetEngine::explain(std::size_t i) {
   MOBIWEB_CHECK_MSG(i < config_.sessions, "FleetEngine::explain: no such session");
   const std::shared_ptr<const CookedDocument> doc = cache_.get(key_of(i));
   std::vector<sim::SessionWalk> one;
   sim::SessionWalk& walk = emplace_walk(one, i, *doc);
   obs::SessionTrace trace;
   trace.capture_events(true);
-  trace.set_flight(flight);
   sim::WalkSink sink{&trace, nullptr};
   walk.report_to(&sink);
   while (!walk.done()) walk.step();
-  trace.set_flight(nullptr);
   const sim::TransferResult& r = walk.result();
   std::string label = "session " + std::to_string(i);
   if (r.degraded) label += " [degraded]";
@@ -524,20 +521,12 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       result.traces.push_back(RetainedTrace{c.session, c.time, failed, {}});
     }
     // Replay the retained sessions in session order, single-threaded: each
-    // trace comes from re-running its walk, and failed ones reach the flight
-    // recorder on the way (deterministic dumps).
+    // trace comes from re-running its walk.
     std::sort(result.traces.begin(), result.traces.end(),
               [](const RetainedTrace& a, const RetainedTrace& b) {
                 return a.session < b.session;
               });
-    for (RetainedTrace& rt : result.traces) {
-      obs::FlightRecorder* flight = rt.failed ? tc.flight : nullptr;
-      if (flight != nullptr) flight->clear();
-      rt.trace = explain(rt.session, flight);
-      if (flight != nullptr) {
-        flight->dump(rt.trace.gave_up() ? "fleet.gave_up" : "fleet.degraded");
-      }
-    }
+    for (RetainedTrace& rt : result.traces) rt.trace = explain(rt.session);
   }
   if (config_.tail_stats) {
     // summarize_tails sorts, so the outcome depends only on the multiset of

@@ -69,10 +69,6 @@
 #include "stats/describe.hpp"
 #include "util/thread_pool.hpp"
 
-namespace mobiweb::obs {
-class FlightRecorder;
-}  // namespace mobiweb::obs
-
 namespace mobiweb::sim {
 class SessionWalk;
 }  // namespace mobiweb::sim
@@ -103,10 +99,6 @@ struct FleetTelemetryConfig {
   // sessions.
   double trace_top_fraction = 0.01;
   double slo_tolerance = 0.5;       // relative drift allowed by the SLO gate
-  // Optional postmortem sink: every retained degraded / gave-up session is
-  // replayed into this recorder and dumped through its sink after the run
-  // (post-merge, single-threaded — the recorder itself is not thread-safe).
-  obs::FlightRecorder* flight = nullptr;
 };
 
 struct FleetConfig {
@@ -258,11 +250,9 @@ class FleetEngine {
 
   // Session `session`'s full trace (per-frame events captured, absolute
   // clock), from a standalone re-run of its walk: the same verdict and
-  // counters run() gives it, whether or not run() ever ran. Every event is
-  // also mirrored into `flight` when set. Looks its document up in cache(),
-  // so it counts one more hit or miss there.
-  [[nodiscard]] obs::SessionTrace explain(std::size_t session,
-                                          obs::FlightRecorder* flight = nullptr);
+  // counters run() gives it, whether or not run() ever ran. Looks its
+  // document up in cache(), so it counts one more hit or miss there.
+  [[nodiscard]] obs::SessionTrace explain(std::size_t session);
 
   [[nodiscard]] DocumentCache& cache() { return cache_; }
   [[nodiscard]] const FleetConfig& config() const { return config_; }

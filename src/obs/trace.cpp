@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/flight.hpp"
 #include "obs/json.hpp"
 
 namespace mobiweb::obs {
@@ -65,12 +64,10 @@ void SessionTrace::clear() {
 }
 
 void SessionTrace::push(Event type, double time, long seq, double value) {
-  if (flight_ == nullptr && !capture_events_) return;
-  const TraceEvent event{type, time,
-                         rounds_.empty() ? 0 : rounds_.back().round, seq,
-                         value};
-  if (flight_ != nullptr) flight_->record(event);
-  if (capture_events_) events_.push_back(event);
+  if (!capture_events_) return;
+  events_.push_back(TraceEvent{type, time,
+                               rounds_.empty() ? 0 : rounds_.back().round, seq,
+                               value});
 }
 
 RoundSummary& SessionTrace::round_at(double time) {

@@ -26,8 +26,6 @@
 
 namespace mobiweb::obs {
 
-class FlightRecorder;
-
 enum class Event : std::uint8_t {
   kSessionStart,
   kRoundStart,
@@ -99,12 +97,6 @@ class SessionTrace {
   // Enables the full per-frame event log (round summaries are always kept).
   void capture_events(bool on) { capture_events_ = on; }
 
-  // Mirrors every event into `flight` (a fixed-size ring of recent events)
-  // regardless of the capture mode, so postmortems don't need the unbounded
-  // log. nullptr detaches. Like the capture mode, survives clear().
-  void set_flight(FlightRecorder* flight) { flight_ = flight; }
-  [[nodiscard]] FlightRecorder* flight() const { return flight_; }
-
   // Forgets everything recorded (label and capture mode persist), so one
   // trace object can be reused across many transfers.
   void clear();
@@ -166,7 +158,6 @@ class SessionTrace {
 
   std::string label_;
   bool capture_events_ = false;
-  FlightRecorder* flight_ = nullptr;
   std::vector<TraceEvent> events_;
   std::vector<RoundSummary> rounds_;
   double start_time_ = 0.0;

@@ -46,10 +46,10 @@ struct TransferConfig {
 // Bound on back-channel retries per stalled round in the analytic simulator.
 inline constexpr int kMaxFeedbackTries = 64;
 
-// Retry/backoff policy for the resilient analytic path. Field-for-field the
-// same shape as transmit::RetryPolicy (kept separate so sim does not depend
-// on the transmit layer); fleet::FleetEngine shares this struct so the
-// engine, the oracle, and the real ResilientSession agree on semantics.
+// The one retry/backoff policy. The analytic walk, fleet::FleetEngine and the
+// real-stack sessions (transmit::ResilientSession,
+// proxy::ProxyResilientSession, BrowseSession) all take this struct and its
+// validate(), so every resilient path agrees on semantics.
 struct RetryConfig {
   int retry_budget = 16;             // total request attempts before kDegraded
   double initial_timeout_s = 0.5;    // first backoff wait

@@ -23,6 +23,7 @@
 
 #include "channel/channel.hpp"
 #include "obs/trace.hpp"
+#include "sim/transfer.hpp"
 #include "transmit/receiver.hpp"
 #include "transmit/session.hpp"
 #include "transmit/transmitter.hpp"
@@ -30,29 +31,14 @@
 
 namespace mobiweb::transmit {
 
-// Client-side retry/backoff policy, separate from the session config so the
-// BrowseSession surface can embed it without dragging trace pointers along.
-struct RetryPolicy {
-  int retry_budget = 16;          // total re-request attempts (incl. dropped)
-  double initial_timeout_s = 0.5; // wait before the first re-request retry
-  double backoff_multiplier = 2.0;
-  double max_backoff_s = 30.0;
-  double jitter = 0.1;            // each wait is scaled by 1 + U(0, jitter)
-  double deadline_s = -1.0;       // < 0: none; else degrade past the deadline
-};
-
 struct ResilientConfig {
   // < 0: relevant document (full download); otherwise abort at threshold F.
   double relevance_threshold = -1.0;
   int max_rounds = 1000;  // safety valve on transmitted rounds
-  RetryPolicy retry;
+  sim::RetryConfig retry;  // the one retry/backoff policy, shared with sim
   std::uint64_t jitter_seed = 0x6a69747465ull;  // client-side backoff rng
   // Optional per-session event trace (see SessionConfig::trace).
   obs::SessionTrace* trace = nullptr;
-  // Optional flight recorder: receives every session event (even when the
-  // trace is not capturing, or when no trace is supplied at all) and is
-  // dumped automatically when the session ends Degraded or GaveUp.
-  obs::FlightRecorder* flight = nullptr;
 };
 
 struct ResilientResult {

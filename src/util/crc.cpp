@@ -20,20 +20,6 @@ constexpr std::array<std::uint32_t, 256> make_crc32_table() {
 
 constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
 
-constexpr std::array<std::uint16_t, 256> make_crc16_table() {
-  std::array<std::uint16_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint16_t c = static_cast<std::uint16_t>(i << 8);
-    for (int bit = 0; bit < 8; ++bit) {
-      c = static_cast<std::uint16_t>((c & 0x8000u) ? ((c << 1) ^ 0x1021u) : (c << 1));
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-constexpr std::array<std::uint16_t, 256> kCrc16Table = make_crc16_table();
-
 }  // namespace
 
 void Crc32::update(ByteSpan data) {
@@ -48,14 +34,6 @@ std::uint32_t crc32(ByteSpan data) {
   Crc32 crc;
   crc.update(data);
   return crc.value();
-}
-
-std::uint16_t crc16_ccitt(ByteSpan data) {
-  std::uint16_t c = 0xffffu;
-  for (std::uint8_t b : data) {
-    c = static_cast<std::uint16_t>((c << 8) ^ kCrc16Table[((c >> 8) ^ b) & 0xffu]);
-  }
-  return c;
 }
 
 }  // namespace mobiweb

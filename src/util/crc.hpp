@@ -25,8 +25,4 @@ class Crc32 {
   std::uint32_t state_ = 0xffffffffu;
 };
 
-// CRC-16-CCITT (polynomial 0x1021, init 0xFFFF, non-reflected). Provided for
-// header checksums where a 2-byte code suffices.
-std::uint16_t crc16_ccitt(ByteSpan data);
-
 }  // namespace mobiweb

@@ -1,8 +1,7 @@
 // Fleet telemetry: TimeSeries bucketing/clamping/merge algebra, tail-based
 // trace retention (exact top-k plus every failure, bounded, deterministic
 // under ties), retained traces replayed complete by FleetEngine::explain,
-// shard-count bit-invariance of the whole exported timeline document, and
-// the FlightRecorder postmortem wiring for degraded / gave-up sessions.
+// and shard-count bit-invariance of the whole exported timeline document.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include "fleet/engine.hpp"
 #include "fleet/telemetry.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
 #include "obs/timeseries.hpp"
 
 namespace mw = mobiweb;
@@ -324,27 +322,6 @@ TEST(FleetTelemetry, ExplainIsAPureFunctionOfTheSession) {
       EXPECT_EQ(ran.degraded(), o.degraded);
       EXPECT_EQ(ran.gave_up(), o.gave_up);
     }
-  }
-}
-
-// ---- FlightRecorder postmortem wiring -------------------------------------
-
-TEST(FleetTelemetry, FlightRecorderDumpsEveryFailedSession) {
-  obs::FlightRecorder flight(64);
-  std::vector<std::string> dumps;
-  flight.set_sink([&dumps](const std::string& json) { dumps.push_back(json); });
-
-  fleet::FleetConfig cfg = lossy_config(200);
-  cfg.telemetry->flight = &flight;
-  const fleet::FleetResult r = run_with_shards(cfg, 3);
-  const long failures = r.degraded + r.gave_up;
-  ASSERT_GT(failures, 0);
-  EXPECT_EQ(static_cast<long>(dumps.size()), failures);
-  EXPECT_EQ(flight.dump_count(), static_cast<int>(failures));
-  for (const std::string& json : dumps) {
-    const bool tagged = json.find("fleet.degraded") != std::string::npos ||
-                        json.find("fleet.gave_up") != std::string::npos;
-    EXPECT_TRUE(tagged) << json.substr(0, 120);
   }
 }
 

@@ -76,12 +76,6 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(mw::crc32(mw::ByteSpan(data)), before);
 }
 
-TEST(Crc16, KnownVector) {
-  // CRC-16/CCITT-FALSE check value for "123456789".
-  const mw::Bytes check = mw::to_bytes("123456789");
-  EXPECT_EQ(mw::crc16_ccitt(mw::ByteSpan(check)), 0x29B1);
-}
-
 TEST(Rng, Deterministic) {
   mw::Rng a(123);
   mw::Rng b(123);
