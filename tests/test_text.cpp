@@ -73,6 +73,10 @@ struct StemCase {
   const char* out;
 };
 
+// Print a case as its input word. gtest's default prints the two string
+// pointers, which move with every build, and ctest names each case by it.
+void PrintTo(const StemCase& c, std::ostream* os) { *os << c.in; }
+
 class PorterSuite : public ::testing::TestWithParam<StemCase> {};
 
 TEST_P(PorterSuite, Stems) {
