@@ -6,8 +6,8 @@
 //   * default — google-benchmark suite (per-kernel BM_GfMulAddRow/<name>
 //     entries report bytes_per_second for each coding kernel);
 //   * --json[=PATH] — self-timed sweep printing machine-readable JSON
-//     (kernel name -> MB/s, plus IDA encode/decode throughput) to stdout or
-//     PATH, for the bench trajectory.
+//     (kernel name -> MB/s, plus IDA encode/decode and CRC-32 throughput) to
+//     stdout or PATH, for the bench trajectory.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -140,7 +140,8 @@ void BM_PacketEncodeDecode(benchmark::State& state) {
   p.doc_id = 1;
   p.seq = 7;
   p.total = 60;
-  p.payload = random_bytes(256, 7);
+  const Bytes payload = random_bytes(256, 7);
+  p.payload = ByteSpan(payload);
   for (auto _ : state) {
     const Bytes frame = packet::encode(p);
     benchmark::DoNotOptimize(packet::decode(ByteSpan(frame)));
@@ -220,6 +221,16 @@ int emit_json(const std::string& path) {
   report.metric("ida_decode_mbps", measure_payload_mbps(payload.size(), [&] {
                   benchmark::DoNotOptimize(
                       dec.decode_payload(redundancy, payload.size()));
+                }));
+  // CRC-32 over one frame body (header + 256-byte payload: what
+  // packet::decode checks per frame) and over a paper-sized document.
+  const Bytes frame_body = random_bytes(packet::frame_size(256) - packet::kTrailerSize, 14);
+  const Bytes bulk = random_bytes(10240, 15);
+  report.metric("crc32.frame.mbps", measure_payload_mbps(frame_body.size(), [&] {
+                  benchmark::DoNotOptimize(mobiweb::crc32(ByteSpan(frame_body)));
+                }));
+  report.metric("crc32.bulk.mbps", measure_payload_mbps(bulk.size(), [&] {
+                  benchmark::DoNotOptimize(mobiweb::crc32(ByteSpan(bulk)));
                 }));
   return mobiweb::bench::emit_json(report.str(), path);
 }

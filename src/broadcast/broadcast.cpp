@@ -35,7 +35,7 @@ std::uint16_t BroadcastServer::publish(const doc::LinearDocument& document) {
     p.total = static_cast<std::uint16_t>(entry.info.n);
     if (i < entry.info.m) p.flags |= packet::kFlagClearText;
     if (i + 1 == entry.info.n) p.flags |= packet::kFlagLast;
-    p.payload = cooked[i];
+    p.payload = ByteSpan(cooked[i]);
     entry.frames.push_back(packet::encode(p));
   }
   documents_.push_back(std::move(entry));

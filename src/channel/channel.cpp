@@ -1,7 +1,6 @@
 #include "channel/channel.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "obs/profile.hpp"
 #include "util/check.hpp"
@@ -72,27 +71,26 @@ WirelessChannel::Delivery WirelessChannel::send(ByteSpan frame) {
     }
     return d;
   }
-  d.frame.assign(frame.begin(), frame.end());
+  d.frame = frame;
   d.corrupted = errors_->next_corrupted(rng_);
   if (d.corrupted) {
     // Flip a handful of bytes so the CRC check fails: each flipped position
     // is distinct and each mask nonzero, so the delivered frame is guaranteed
     // to differ from the original (two flips landing on the same byte with
     // the same mask used to cancel out, letting a frame counted as corrupted
-    // sail through packet::decode).
+    // sail through packet::decode). Because masks are nonzero, a position
+    // was already flipped exactly when the copy differs from the frame there.
+    scratch_.assign(frame.begin(), frame.end());
     const std::size_t flips =
-        std::min(d.frame.size(), 1 + d.frame.size() / 64);
-    std::vector<std::size_t> flipped;
-    flipped.reserve(flips);
-    while (flipped.size() < flips) {
-      const std::size_t pos = rng_.next_below(d.frame.size());
-      if (std::find(flipped.begin(), flipped.end(), pos) != flipped.end()) {
-        continue;
-      }
-      flipped.push_back(pos);
+        std::min(scratch_.size(), 1 + scratch_.size() / 64);
+    for (std::size_t done = 0; done < flips;) {
+      const std::size_t pos = rng_.next_below(scratch_.size());
+      if (scratch_[pos] != frame[pos]) continue;
       const auto mask = static_cast<std::uint8_t>(1 + rng_.next_below(255));
-      d.frame[pos] ^= mask;
+      scratch_[pos] ^= mask;
+      ++done;
     }
+    d.frame = ByteSpan(scratch_);
   }
   ++stats_.frames_sent;
   if (d.corrupted) ++stats_.frames_corrupted;

@@ -52,8 +52,13 @@ class WirelessChannel {
  public:
   WirelessChannel(ChannelConfig config, std::unique_ptr<ErrorModel> errors);
 
+  // The delivered bytes are a view, not a copy. An intact frame views the
+  // sender's buffer; a corrupted one views this channel's scratch copy, which
+  // the next send() overwrites. So `frame` is valid until the next send() on
+  // this channel and only while the sender's buffer lives; a caller that
+  // keeps the bytes longer copies them.
   struct Delivery {
-    Bytes frame;           // possibly corrupted bytes; empty when lost
+    ByteSpan frame;        // possibly corrupted bytes; empty when lost
     bool corrupted = false;
     bool lost = false;     // link was down: nothing reached the receiver
     double depart_time = 0.0;  // when the last bit left the sender
@@ -61,7 +66,9 @@ class WirelessChannel {
   };
 
   // Serializes one frame onto the link, advancing the channel clock by the
-  // transmission time. Corruption flips bytes in the delivered copy. With an
+  // transmission time. Corruption flips bytes in the channel's scratch copy;
+  // `frame` itself is never modified (and must not view that scratch copy,
+  // i.e. an earlier corrupted Delivery of this channel). With an
   // outage model installed, a frame departing while the link is down is lost
   // outright: `lost` is set and `frame` is empty (the sender still burned the
   // airtime — it has no way to know the link is dead).
@@ -107,6 +114,7 @@ class WirelessChannel {
   Rng rng_;
   double clock_ = 0.0;
   ChannelStats stats_;
+  Bytes scratch_;  // the last corrupted delivery's bytes
   obs::Counter* metric_sent_ = nullptr;
   obs::Counter* metric_corrupted_ = nullptr;
   obs::Counter* metric_lost_ = nullptr;

@@ -34,8 +34,7 @@ std::optional<Packet> decode(ByteSpan frame) {
   p.total = get_u16(frame, 4);
   p.flags = get_u16(frame, 6);
   if (p.total == 0 || p.seq >= p.total) return std::nullopt;
-  p.payload.assign(frame.begin() + kHeaderSize,
-                   frame.begin() + static_cast<std::ptrdiff_t>(body));
+  p.payload = frame.subspan(kHeaderSize, body - kHeaderSize);
   return p;
 }
 

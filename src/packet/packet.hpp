@@ -21,6 +21,7 @@
 // what the runnable client/server actually exchanges.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -40,17 +41,24 @@ inline constexpr std::uint16_t kFlagLast = 1u << 1;
 // length and is rejected before any allocation happens.
 inline constexpr std::size_t kMaxPayloadSize = 1u << 16;
 
+// A packet's header plus a view of its payload bytes, which it does not own:
+// encode() reads the payload through the view, and decode() returns a packet
+// whose payload views the frame it parsed.
 struct Packet {
   std::uint16_t doc_id = 0;
   std::uint16_t seq = 0;
   std::uint16_t total = 0;
   std::uint16_t flags = 0;
-  Bytes payload;
+  ByteSpan payload;
 
   [[nodiscard]] bool is_clear_text() const { return flags & kFlagClearText; }
   [[nodiscard]] bool is_last() const { return flags & kFlagLast; }
 
-  bool operator==(const Packet&) const = default;
+  // Same header and same payload bytes (wherever they live).
+  bool operator==(const Packet& o) const {
+    return doc_id == o.doc_id && seq == o.seq && total == o.total &&
+           flags == o.flags && std::ranges::equal(payload, o.payload);
+  }
 };
 
 // Serializes header + payload + CRC trailer.
@@ -58,7 +66,8 @@ Bytes encode(const Packet& packet);
 
 // Parses and validates a frame. Returns nullopt when the frame is too short,
 // the CRC does not match (corruption), or total/seq are inconsistent — i.e.
-// exactly the "corrupted (with detectable error)" case.
+// exactly the "corrupted (with detectable error)" case. The payload is a view
+// into `frame`, valid while the frame's bytes are.
 std::optional<Packet> decode(ByteSpan frame);
 
 // Size on the wire of a packet with `payload_size` payload bytes.

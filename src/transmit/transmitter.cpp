@@ -38,7 +38,7 @@ DocumentTransmitter::DocumentTransmitter(doc::LinearDocument document,
     p.flags = 0;
     if (i < m_) p.flags |= packet::kFlagClearText;
     if (i + 1 == n_) p.flags |= packet::kFlagLast;
-    p.payload = cooked[i];
+    p.payload = ByteSpan(cooked[i]);
     frames_.push_back(packet::encode(p));
   }
 }

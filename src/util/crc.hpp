@@ -10,7 +10,7 @@
 
 namespace mobiweb {
 
-// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320). Table-driven.
+// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), slicing-by-8.
 std::uint32_t crc32(ByteSpan data);
 
 // Incremental form: feed chunks, then finalize. Equivalent to crc32() over the

@@ -1,5 +1,6 @@
-// Fuzz target: packet::decode and ClientReceiver::on_frame — the bytes a
-// client pulls off the lossy 19.2 kbps channel. Three modes share the input:
+// Fuzz target: packet::decode, ClientReceiver::on_frame and the CRC-32 that
+// guards them — the bytes a client pulls off the lossy 19.2 kbps channel.
+// Four modes share the input:
 //
 //   0: decode arbitrary bytes as a frame; whatever decodes must re-encode to
 //      a frame that decodes to the identical packet (decode∘encode identity);
@@ -8,13 +9,19 @@
 //      rejected;
 //   2: stream arbitrary frames into a ClientReceiver and check that the
 //      frame accounting stays consistent (classification is exclusive,
-//      counters sum, corruption estimate stays in [0, 1]).
+//      counters sum, corruption estimate stays in [0, 1]);
+//   3: crc32 of arbitrary bytes at an arbitrary start offset equals the
+//      bit-at-a-time reference, and Crc32::update split at an arbitrary
+//      offset equals the one-shot value.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "crc32_reference.hpp"
 #include "fuzz_input.hpp"
 #include "packet/packet.hpp"
 #include "transmit/receiver.hpp"
+#include "util/crc.hpp"
 
 namespace packet = mobiweb::packet;
 namespace transmit = mobiweb::transmit;
@@ -48,7 +55,8 @@ void mode_bitflip(FuzzInput& in) {
   p.total = static_cast<std::uint16_t>(in.take_in_range(1, 0xffff));
   p.seq = static_cast<std::uint16_t>(in.take_index(p.total));
   p.flags = static_cast<std::uint16_t>(in.take_in_range(0, 3));
-  p.payload = in.take_bytes(in.take_in_range(0, 512));
+  const Bytes payload = in.take_bytes(in.take_in_range(0, 512));
+  p.payload = ByteSpan(payload);
 
   const Bytes frame = packet::encode(p);
   const auto decoded = packet::decode(ByteSpan(frame));
@@ -86,7 +94,9 @@ void mode_receiver(FuzzInput& in) {
       p.doc_id = static_cast<std::uint16_t>(in.take_in_range(1, 4));
       p.total = static_cast<std::uint16_t>(in.take_in_range(1, 2 * config.n));
       p.seq = static_cast<std::uint16_t>(in.take_index(p.total));
-      p.payload = in.take_bytes(in.take_in_range(0, config.packet_size + 2));
+      const Bytes payload =
+          in.take_bytes(in.take_in_range(0, config.packet_size + 2));
+      p.payload = ByteSpan(payload);
       frame = packet::encode(p);
       if (in.take_bool()) {  // sometimes corrupt it on the air
         frame[in.take_index(frame.size())] ^=
@@ -119,15 +129,32 @@ void mode_receiver(FuzzInput& in) {
                       "decoder holds more packets than it can ever use");
 }
 
+void mode_crc(FuzzInput& in) {
+  const std::size_t offset = in.take_in_range(0, 7);
+  const std::size_t split = in.take_in_range(0, 0xffff);
+  const Bytes bytes = in.take_remaining();
+  const ByteSpan data = ByteSpan(bytes).subspan(std::min(offset, bytes.size()));
+  const std::uint32_t one_shot = mobiweb::crc32(data);
+  MOBIWEB_FUZZ_ASSERT(one_shot == mobiweb::testing::crc32_reference(data),
+                      "crc32 differs from the bit-at-a-time reference");
+  const std::size_t at = split % (data.size() + 1);
+  mobiweb::Crc32 crc;
+  crc.update(data.first(at));
+  crc.update(data.subspan(at));
+  MOBIWEB_FUZZ_ASSERT(crc.value() == one_shot,
+                      "split Crc32::update differs from the one-shot crc32");
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   if (size > (1u << 18)) return 0;
   FuzzInput in(data, size);
-  switch (in.take_in_range(0, 2)) {
+  switch (in.take_in_range(0, 3)) {
     case 0: mode_raw_decode(in); break;
     case 1: mode_bitflip(in); break;
-    default: mode_receiver(in); break;
+    case 2: mode_receiver(in); break;
+    default: mode_crc(in); break;
   }
   return 0;
 }

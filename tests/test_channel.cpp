@@ -1,6 +1,9 @@
 // Wireless channel and error models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "channel/channel.hpp"
 #include "channel/error_model.hpp"
 #include "obs/metrics.hpp"
@@ -111,7 +114,7 @@ TEST(Channel, CleanChannelDeliversIntact) {
   for (int i = 0; i < 100; ++i) {
     const auto d = ch.send(ByteSpan(frame));
     EXPECT_FALSE(d.corrupted);
-    EXPECT_EQ(d.frame, frame);
+    EXPECT_TRUE(std::ranges::equal(d.frame, frame));
     EXPECT_TRUE(packet::decode(ByteSpan(d.frame)).has_value());
   }
   EXPECT_EQ(ch.stats().frames_corrupted, 0);
@@ -127,7 +130,7 @@ TEST(Channel, CorruptionFlipsBytesAndCrcCatchesIt) {
   for (int i = 0; i < 200; ++i) {
     const auto d = ch.send(ByteSpan(frame));
     ASSERT_TRUE(d.corrupted);
-    EXPECT_NE(d.frame, frame);
+    EXPECT_FALSE(std::ranges::equal(d.frame, frame));
     delivered_intact += packet::decode(ByteSpan(d.frame)).has_value();
   }
   EXPECT_EQ(delivered_intact, 0);
@@ -150,11 +153,52 @@ TEST(Channel, CorruptedDeliveriesAlwaysFailDecode) {
     for (int i = 0; i < 1000; ++i) {
       const auto d = ch.send(ByteSpan(frame));
       ASSERT_TRUE(d.corrupted);
-      ASSERT_NE(d.frame, frame) << "seed=" << seed << " frame=" << i;
+      ASSERT_FALSE(std::ranges::equal(d.frame, frame))
+          << "seed=" << seed << " frame=" << i;
       ASSERT_FALSE(packet::decode(ByteSpan(d.frame)).has_value())
           << "seed=" << seed << " frame=" << i;
     }
   }
+}
+
+TEST(Channel, IntactDeliveryViewsSenderBuffer) {
+  // No copy on the clean path: the delivered view is the sender's bytes.
+  channel::ChannelConfig cfg;
+  channel::WirelessChannel ch(cfg, std::make_unique<channel::IidErrorModel>(0.0));
+  const Bytes frame(128, 0x5a);
+  for (int i = 0; i < 10; ++i) {
+    const auto d = ch.send(ByteSpan(frame));
+    ASSERT_FALSE(d.corrupted);
+    EXPECT_EQ(d.frame.data(), frame.data());
+    EXPECT_EQ(d.frame.size(), frame.size());
+  }
+}
+
+TEST(Channel, CorruptionNeverModifiesSenderFrame) {
+  // Corruption flips bytes in the channel's scratch copy, never in the frame
+  // the sender still owns (and resends next round).
+  const auto fnv1a = [](ByteSpan bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+    return h;
+  };
+  channel::ChannelConfig cfg;
+  cfg.seed = 23;
+  channel::WirelessChannel ch(cfg, std::make_unique<channel::IidErrorModel>(0.5));
+  const Bytes frame = packet::encode({.doc_id = 2, .seq = 1, .total = 4,
+                                      .flags = 0, .payload = Bytes(200, 0x3c)});
+  const std::uint64_t before = fnv1a(ByteSpan(frame));
+  int corrupted = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const auto d = ch.send(ByteSpan(frame));
+    if (!d.corrupted) continue;
+    ++corrupted;
+    EXPECT_NE(d.frame.data(), frame.data());
+    EXPECT_FALSE(packet::decode(d.frame).has_value());
+  }
+  EXPECT_GT(corrupted, 400);
+  EXPECT_LT(corrupted, 600);
+  EXPECT_EQ(fnv1a(ByteSpan(frame)), before);
 }
 
 TEST(Channel, MetricsCountersTrackStats) {

@@ -1,6 +1,8 @@
 // Packet framing: encode/decode, CRC detection, header validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "packet/packet.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -11,13 +13,16 @@ using mobiweb::ByteSpan;
 using mobiweb::Rng;
 
 namespace {
+// A packet views its payload, so the sample's bytes live for the whole run.
+const Bytes kSamplePayload(256, 0xab);
+
 packet::Packet sample_packet() {
   packet::Packet p;
   p.doc_id = 7;
   p.seq = 12;
   p.total = 60;
   p.flags = packet::kFlagClearText;
-  p.payload.assign(256, 0xab);
+  p.payload = ByteSpan(kSamplePayload);
   return p;
 }
 }  // namespace
@@ -29,6 +34,15 @@ TEST(Packet, RoundTrip) {
   const auto decoded = packet::decode(ByteSpan(frame));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, p);
+}
+
+TEST(Packet, DecodedPayloadViewsFrame) {
+  // decode copies nothing: the payload is the frame's own bytes.
+  const Bytes frame = packet::encode(sample_packet());
+  const auto decoded = packet::decode(ByteSpan(frame));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->payload.data(), frame.data() + packet::kHeaderSize);
+  EXPECT_EQ(decoded->payload.size(), 256u);
 }
 
 TEST(Packet, FlagsHelpers) {
@@ -122,11 +136,12 @@ TEST(PacketHardening, MaxPayloadRoundTrips) {
   p.doc_id = 3;
   p.seq = 0;
   p.total = 1;
-  p.payload.assign(packet::kMaxPayloadSize, 0xcd);
+  const Bytes payload(packet::kMaxPayloadSize, 0xcd);
+  p.payload = ByteSpan(payload);
   const Bytes frame = packet::encode(p);
   const auto decoded = packet::decode(ByteSpan(frame));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->payload, p.payload);
+  EXPECT_TRUE(std::ranges::equal(decoded->payload, payload));
 }
 
 TEST(PacketHardening, EncodeRefusesPayloadAboveCap) {
@@ -134,6 +149,7 @@ TEST(PacketHardening, EncodeRefusesPayloadAboveCap) {
   p.doc_id = 3;
   p.seq = 0;
   p.total = 1;
-  p.payload.assign(packet::kMaxPayloadSize + 1, 0x00);
+  const Bytes payload(packet::kMaxPayloadSize + 1, 0x00);
+  p.payload = ByteSpan(payload);
   EXPECT_THROW(packet::encode(p), mobiweb::ContractViolation);
 }

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "fuzz/crc32_reference.hpp"
 #include "util/bytes.hpp"
 #include "util/check.hpp"
 #include "util/crc.hpp"
@@ -67,6 +68,40 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   inc.update(mw::ByteSpan(data).subspan(0, 10));
   inc.update(mw::ByteSpan(data).subspan(10));
   EXPECT_EQ(inc.value(), mw::crc32(mw::ByteSpan(data)));
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..4096 at start offsets 0..7, so each slicing-by-8 block
+  // boundary and tail length meets each alignment. For one offset the
+  // reference runs once over the buffer, recording its value at every length.
+  constexpr std::size_t kMaxLen = 4096;
+  mw::Rng rng(77);
+  mw::Bytes buf(kMaxLen + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const mw::ByteSpan from = mw::ByteSpan(buf).subspan(offset, kMaxLen);
+    std::uint32_t reg = 0xffffffffu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(mw::crc32(from.first(len)), reg ^ 0xffffffffu)
+          << "offset=" << offset << " len=" << len;
+      if (len < kMaxLen) reg = mw::testing::crc32_reference_step(reg, from[len]);
+    }
+  }
+}
+
+TEST(Crc32, SplitUpdateMatchesOneShotAtEveryOffset) {
+  mw::Rng rng(78);
+  mw::Bytes data(1024);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(256));
+  const mw::ByteSpan all(data);
+  const std::uint32_t one_shot = mw::crc32(all);
+  EXPECT_EQ(one_shot, mw::testing::crc32_reference(all));
+  for (std::size_t at = 0; at <= data.size(); ++at) {
+    mw::Crc32 split;
+    split.update(all.first(at));
+    split.update(all.subspan(at));
+    ASSERT_EQ(split.value(), one_shot) << "split at " << at;
+  }
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {
