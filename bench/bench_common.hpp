@@ -74,32 +74,39 @@ inline std::optional<std::string> trace_request(int argc, char** argv) {
   return flag_request(argc, argv, "trace");
 }
 
-// --NAME=VALUE parsed as a double; `fallback` when absent or unparsable.
+// `text`, the value of --NAME, parsed as a double. A value that is not one
+// number in full (empty, "abc", "0.1x") prints the flag and exits 2.
+inline double parse_double_or_exit(const char* name, const std::string& text) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) {
+    std::fprintf(stderr, "bench: --%s: not a number: '%s'\n", name, text.c_str());
+    std::exit(2);
+  }
+  return parsed;
+}
+
+// --NAME=VALUE parsed as a double; `fallback` when absent.
 inline double arg_double(int argc, char** argv, const char* name,
                          double fallback) {
   const auto v = flag_request(argc, argv, name);
-  if (!v || v->empty()) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  return end == v->c_str() ? fallback : parsed;
+  return v ? parse_double_or_exit(name, *v) : fallback;
 }
 
-// --NAME=V1,V2,... parsed as doubles; `fallback` when absent or empty.
+// --NAME=V1,V2,... parsed as doubles; `fallback` when absent.
 inline std::vector<double> arg_double_list(int argc, char** argv,
                                            const char* name,
                                            std::vector<double> fallback) {
   const auto v = flag_request(argc, argv, name);
-  if (!v || v->empty()) return fallback;
+  if (!v) return fallback;
   std::vector<double> out;
-  const char* p = v->c_str();
-  char* end = nullptr;
-  while (*p != '\0') {
-    const double parsed = std::strtod(p, &end);
-    if (end == p) break;
-    out.push_back(parsed);
-    p = (*end == ',') ? end + 1 : end;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = v->find(',', start);
+    out.push_back(parse_double_or_exit(name, v->substr(start, comma - start)));
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
   }
-  return out.empty() ? fallback : out;
 }
 
 // Prints `json` to stdout and, when `path` is non-empty, to `path` as well.

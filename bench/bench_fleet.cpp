@@ -68,7 +68,7 @@ fleet::FleetConfig base_config(int argc, char** argv) {
 }
 
 std::vector<Scale> scales(int argc, char** argv) {
-  if (const auto v = bench::flag_request(argc, argv, "sessions"); v && !v->empty()) {
+  if (bench::flag_request(argc, argv, "sessions")) {
     const double n = bench::arg_double(argc, argv, "sessions", 10000.0);
     return {{static_cast<std::size_t>(n), "custom"}};
   }
@@ -96,7 +96,6 @@ int emit_timeline(int argc, char** argv, const std::string& path) {
   fleet::FleetConfig cfg = base_config(argc, argv);
   cfg.sessions = static_cast<std::size_t>(bench::arg_double(
       argc, argv, "sessions", bench::fast_mode() ? 2000.0 : 10000.0));
-  cfg.tail_stats = true;
   fleet::FleetTelemetryConfig tc;
   tc.bucket_width_s = bench::arg_double(argc, argv, "bucket", 1.0);
   tc.trace_top_fraction = bench::arg_double(argc, argv, "trace-top", 0.01);

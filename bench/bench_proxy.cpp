@@ -176,7 +176,6 @@ int emit_timeline(int argc, char** argv, const std::string& path) {
   const Cell cell{bench::arg_double(argc, argv, "origin-duty", 0.25),
                   bench::arg_double(argc, argv, "warm", 0.6)};
   cfg = cell_config(cfg, cell, argc, argv);
-  cfg.tail_stats = true;
   fleet::FleetTelemetryConfig tc;
   tc.bucket_width_s = bench::arg_double(argc, argv, "bucket", 1.0);
   tc.trace_top_fraction = bench::arg_double(argc, argv, "trace-top", 0.01);

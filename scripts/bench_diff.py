@@ -3,6 +3,7 @@
 
 Usage:
     bench_diff.py [--tolerance=FRAC] [--quiet] [--summary] OLD.json NEW.json
+    bench_diff.py --check-tails BENCH_BINARY [bench args...]
 
 Compares the flat `metrics` maps of two bench runs produced by any harness's
 --json mode (bench_micro_coding, bench_micro_pipeline, bench_throughput,
@@ -29,10 +30,24 @@ gated clean, how many regressed, how many are informational-only or present
 in a single run — so a PASS still leaves an at-a-glance delta record in the
 CI log (composes with --quiet: just the tally, no per-key table).
 
+--check-tails runs `BENCH_BINARY [bench args...] --json` and checks the
+session-time tail keys this gate compares (ctest `bench.fleet_tails`):
+  * every scale (metric-key prefix) that reports session_time_s_mean also
+    reports _p50, _p95, _p99, _p999 and _ci95;
+  * all six are finite and non-negative;
+  * the quantiles are monotone (p50 <= p95 <= p99 <= p999) and
+    mean <= p999;
+  * direction() classifies the _p* and _mean keys as lower-is-better and
+    _ci95 as informational, so a schema or direction-inference regression
+    fails here, not in a real perf hunt.
+It exits 0 when every check holds, 1 on any violation.
+
 Stdlib only; no third-party imports.
 """
 
 import json
+import math
+import subprocess
 import sys
 
 HIGHER_BETTER = ("mbps", "per_hour", "per_s", "completed", "content")
@@ -78,7 +93,60 @@ def load_run(path):
     return run.get("bench", "?"), metrics
 
 
+def check_tails(cmd):
+    """Runs cmd + ["--json"] and checks its session-time tail keys."""
+    def fail(msg):
+        sys.exit(f"bench_diff --check-tails: {msg}")
+
+    cmd = cmd + ["--json"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        fail(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+    try:
+        run = json.loads(proc.stdout)
+    except json.JSONDecodeError as e:
+        fail(f"bench emitted invalid JSON: {e}")
+    if run.get("schema") != SCHEMA:
+        fail(f"unexpected schema {run.get('schema')!r}")
+    metrics = run.get("metrics", {})
+
+    scales = sorted(k[: -len("session_time_s_mean")] for k in metrics
+                    if k.endswith("session_time_s_mean"))
+    if not scales:
+        fail("no session_time_s_mean keys in the run")
+    for scale in scales:
+        base = scale + "session_time_s"
+        names = ("p50", "p95", "p99", "p999", "mean", "ci95")
+        for name in names:
+            if f"{base}_{name}" not in metrics:
+                fail(f"missing {base}_{name}")
+        v = {name: metrics[f"{base}_{name}"] for name in names}
+        for name, x in v.items():
+            if not math.isfinite(x) or x < 0:
+                fail(f"{base}_{name} = {x!r} is not a finite non-negative "
+                     "number")
+        if not v["p50"] <= v["p95"] <= v["p99"] <= v["p999"]:
+            fail(f"{base}: quantiles not monotone: p50={v['p50']} "
+                 f"p95={v['p95']} p99={v['p99']} p999={v['p999']}")
+        if v["mean"] > v["p999"]:
+            fail(f"{base}: mean {v['mean']} exceeds p999 {v['p999']}")
+        # Direction-inference contract: tails gate, CI halfwidths do not.
+        for name in names:
+            key = f"{base}_{name}"
+            want = 0 if name == "ci95" else -1
+            if direction(key) != want:
+                fail(f"direction({key!r}) is {direction(key)}, want {want}")
+
+    print(f"bench_diff --check-tails: ok ({len(scales)} scale(s): "
+          f"{', '.join(s.rstrip('.') for s in scales)})")
+    return 0
+
+
 def main(argv):
+    if len(argv) > 1 and argv[1] == "--check-tails":
+        if len(argv) < 3:
+            sys.exit(f"bench_diff: --check-tails needs BENCH_BINARY\n{__doc__}")
+        return check_tails(argv[2:])
     tolerance = 0.10
     quiet = False
     summary = False

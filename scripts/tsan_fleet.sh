@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# ThreadSanitizer pass over the fleet concurrency surface: the sharded engine,
-# the shared DocumentCache, ThreadPool re-entrancy, the concurrent
-# MetricsRegistry writers, and the GF kernel dispatch tables' first use.
+# ThreadSanitizer pass over the fleet concurrency surface: the sharded engine
+# (each shard writing its own range of the run's session-indexed columns),
+# the shared DocumentCache, ThreadPool re-entrancy, the MetricsRegistry's
+# concurrent writers, and the GF kernel dispatch tables' first use.
 #
 # Builds an out-of-tree TSan tree (build-tsan/) so the regular build stays
 # untouched, then runs the labels that exercise real multi-threading:

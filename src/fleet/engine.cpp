@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iterator>
 #include <numeric>
 #include <queue>
 #include <string>
@@ -28,19 +27,6 @@ struct Event {
   }
 };
 
-// How a session ended. Indexes the per-status metric arrays.
-enum class Outcome : int { kCompleted = 0, kAborted = 1, kGaveUp = 2, kDegraded = 3 };
-inline constexpr int kOutcomes = 4;
-constexpr const char* kOutcomeNames[kOutcomes] = {"completed", "aborted_irrelevant",
-                                                  "gave_up", "degraded"};
-
-Outcome outcome_of(const sim::TransferResult& r) {
-  if (r.completed) return Outcome::kCompleted;
-  if (r.aborted_irrelevant) return Outcome::kAborted;
-  if (r.gave_up) return Outcome::kGaveUp;
-  return Outcome::kDegraded;
-}
-
 // A finished session still in the running for trace retention, by its
 // ranking key. Only replayed into a full SessionTrace after the global tail
 // selection.
@@ -50,8 +36,7 @@ struct Ranked {
 };
 
 struct ShardTotals {
-  FleetResult sum;            // this shard's share of the scalar aggregates
-  std::vector<double> times;  // per-session transfer times (tail_stats only)
+  FleetResult sum;  // this shard's share of the integer aggregates and makespan
   // Telemetry (engaged only with FleetConfig::telemetry): this shard's time
   // buckets plus its trace candidates — every degraded / gave-up session,
   // and a bounded heap of the k slowest others (any global top-k member is
@@ -61,36 +46,20 @@ struct ShardTotals {
   std::vector<Ranked> tail;
 };
 
-// FleetProxyTotals fields and the registry counters they feed, in export
-// order.
-constexpr std::pair<long FleetProxyTotals::*, const char*> kProxyCounters[] = {
-    {&FleetProxyTotals::replica_hits, "proxy.replica_hits"},
-    {&FleetProxyTotals::stale_serves, "proxy.stale_serves"},
-    {&FleetProxyTotals::failovers, "proxy.failovers"},
-    {&FleetProxyTotals::handoffs, "proxy.handoffs"},
-    {&FleetProxyTotals::origin_fetches, "proxy.origin_fetches"},
-    {&FleetProxyTotals::origin_suspensions, "proxy.origin_suspensions"},
-    {&FleetProxyTotals::reconciliations, "proxy.reconciliations"},
-    {&FleetProxyTotals::packets_refetched, "proxy.packets_refetched"},
-    {&FleetProxyTotals::stale_frames, "proxy.stale_frames"},
-    {&FleetProxyTotals::sessions_ended_stale, "proxy.sessions_ended_stale"},
-    {&FleetProxyTotals::origin_generation_bumps, "proxy.origin_generation_bumps"},
-    {&FleetProxyTotals::reconcile_dropped_packets, "proxy.reconcile_dropped_packets"},
-};
-inline constexpr std::size_t kProxyCounterCount = std::size(kProxyCounters);
-
-// Pre-resolved metric series; shards record into them concurrently (the
-// registry's instruments are thread-safe, see obs/metrics.hpp).
-struct FleetMetrics {
-  obs::Counter* sessions = nullptr;
-  obs::Counter* ended[kOutcomes] = {};  // fleet.sessions_<outcome>
-  obs::Counter* frames = nullptr;
-  obs::Counter* frames_lost = nullptr;
-  obs::Counter* suspensions = nullptr;
-  obs::Histogram* session_time = nullptr;
-  obs::Histogram* session_time_by[kOutcomes] = {};  // ...{status=<outcome>}
-  // Edge-tier series, indexed like kProxyCounters (proxied runs only).
-  obs::Counter* proxy[kProxyCounterCount] = {};
+// The FleetProxyTotals fields, for the field-wise sum.
+constexpr long FleetProxyTotals::* kProxyCounters[] = {
+    &FleetProxyTotals::replica_hits,
+    &FleetProxyTotals::stale_serves,
+    &FleetProxyTotals::failovers,
+    &FleetProxyTotals::handoffs,
+    &FleetProxyTotals::origin_fetches,
+    &FleetProxyTotals::origin_suspensions,
+    &FleetProxyTotals::reconciliations,
+    &FleetProxyTotals::packets_refetched,
+    &FleetProxyTotals::stale_frames,
+    &FleetProxyTotals::sessions_ended_stale,
+    &FleetProxyTotals::origin_generation_bumps,
+    &FleetProxyTotals::reconcile_dropped_packets,
 };
 
 // The fleet-wide round parameters of every walk; m, n and the frame time are
@@ -128,7 +97,7 @@ void FleetProxyTotals::add(const sim::ProxyStats& s) {
 }
 
 FleetProxyTotals& FleetProxyTotals::operator+=(const FleetProxyTotals& other) {
-  for (const auto& counter : kProxyCounters) this->*counter.first += other.*counter.first;
+  for (const auto counter : kProxyCounters) this->*counter += other.*counter;
   return *this;
 }
 
@@ -183,6 +152,16 @@ FleetEngine::FleetEngine(FleetConfig config)
   round_config(config_).validate();
   if (config_.outage != nullptr || config_.proxy.has_value()) config_.retry.validate();
   if (config_.proxy.has_value()) config_.proxy->model.validate();
+  if (config_.telemetry.has_value()) {
+    const FleetTelemetryConfig& tc = *config_.telemetry;
+    MOBIWEB_CHECK_MSG(tc.trace_top_fraction >= 0.0 && tc.trace_top_fraction <= 1.0,
+                      "FleetEngine: telemetry trace_top_fraction in [0,1]");
+    MOBIWEB_CHECK_MSG(tc.bucket_width_s > 0.0 && std::isfinite(tc.bucket_width_s),
+                      "FleetEngine: telemetry bucket_width_s finite and > 0");
+    MOBIWEB_CHECK_MSG(tc.max_buckets >= 1, "FleetEngine: telemetry max_buckets >= 1");
+    MOBIWEB_CHECK_MSG(tc.slo_tolerance >= 0.0 && std::isfinite(tc.slo_tolerance),
+                      "FleetEngine: telemetry slo_tolerance finite and >= 0");
+  }
 
   // Zipf(s) popularity: cumulative weights over document ranks. Each
   // session's draw depends only on (seed, i), so document assignment is
@@ -312,43 +291,23 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     cache_.prefill(keys, pool);
   }
 
-  FleetMetrics fm;
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *config_.metrics;
-    fm.sessions = &reg.counter("fleet.sessions");
-    fm.frames = &reg.counter("fleet.frames_sent");
-    fm.frames_lost = &reg.counter("fleet.frames_lost_outage");
-    fm.suspensions = &reg.counter("fleet.suspensions");
-    fm.session_time =
-        &reg.histogram("fleet.session_time_s", obs::session_time_buckets());
-    for (int o = 0; o < kOutcomes; ++o) {
-      const std::string status = kOutcomeNames[o];
-      fm.ended[o] = &reg.counter("fleet.sessions_" + status);
-      fm.session_time_by[o] = &reg.histogram("fleet.session_time_s{status=" + status + "}",
-                                             obs::session_time_buckets());
-    }
-    if (config_.proxy.has_value()) {
-      for (std::size_t c = 0; c < kProxyCounterCount; ++c) {
-        fm.proxy[c] = &reg.counter(kProxyCounters[c].second);
-      }
-    }
-  }
-
   std::vector<ShardTotals> totals(shards);
+  // The double aggregates, one column per field, indexed by session: each
+  // shard fills its own [lo, hi) and the merge sums them in session order.
+  std::vector<double> times(sessions), content(sessions), backoff(sessions);
   if (config_.record_outcomes) result.outcomes.resize(sessions);
   const std::size_t per_shard = (sessions + shards - 1) / shards;
   const bool proxied = config_.proxy.has_value();
   const bool telem = config_.telemetry.has_value();
   const FleetTelemetryConfig tc =
       config_.telemetry.value_or(FleetTelemetryConfig{});
-  // Global tail-retention target k. Bounded overhead: every shard retains at
+  // Global tail-retention target k (at most `sessions`: the constructor
+  // bounds the fraction to [0, 1]). Bounded overhead: every shard retains at
   // most k non-failed candidates, and the final cut keeps exactly k overall.
-  std::size_t tail_target = 0;
-  if (telem && tc.trace_top_fraction > 0.0) {
-    tail_target = static_cast<std::size_t>(
-        std::ceil(tc.trace_top_fraction * static_cast<double>(sessions)));
-    tail_target = std::min(tail_target, sessions);
-  }
+  const std::size_t tail_target =
+      telem ? static_cast<std::size_t>(
+                  std::ceil(tc.trace_top_fraction * static_cast<double>(sessions)))
+            : 0;
   result.trace_tail_target = tail_target;
 
   pool->run(shards, [&](std::size_t shard) {
@@ -414,20 +373,11 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       sum.rounds += r.rounds;
       sum.suspensions += r.suspensions;
       sum.bytes_sent += static_cast<unsigned long long>(r.packets) * docs[k]->frame_size;
-      sum.content += r.content;
-      sum.session_time_s += r.time;
-      if (config_.tail_stats) tot.times.push_back(r.time);
-      sum.backoff_s += r.backoff_s;
+      times[index] = r.time;
+      content[index] = r.content;
+      backoff[index] = r.backoff_s;
       sum.makespan_s = std::max(sum.makespan_s, w.start() + r.time);
-      if (proxied) {
-        FleetProxyTotals one;
-        one.add(w.proxy());
-        sum.proxy += one;
-        for (std::size_t c = 0; c < kProxyCounterCount; ++c) {
-          const long v = one.*kProxyCounters[c].first;
-          if (fm.proxy[c] != nullptr && v > 0) fm.proxy[c]->inc(v);
-        }
-      }
+      if (proxied) sum.proxy.add(w.proxy());
       if (telem) {
         const Ranked cand{r.time, static_cast<std::uint32_t>(index)};
         if (r.gave_up || r.degraded) {
@@ -435,16 +385,6 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
         } else {
           offer_tail(cand);
         }
-      }
-      if (fm.sessions != nullptr) {
-        const int outcome = static_cast<int>(outcome_of(r));
-        fm.sessions->inc();
-        fm.ended[outcome]->inc();
-        fm.frames->inc(r.packets);
-        if (r.frames_lost > 0) fm.frames_lost->inc(r.frames_lost);
-        if (r.suspensions > 0) fm.suspensions->inc(r.suspensions);
-        fm.session_time->observe(r.time);
-        fm.session_time_by[outcome]->observe(r.time);
       }
       if (config_.record_outcomes) {
         result.outcomes[index] = SessionOutcome{
@@ -469,8 +409,9 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     }
   });
 
-  // Merge in shard order: deterministic for a fixed shard count; integer
-  // aggregates are order-independent, so they match across shard counts too.
+  // Merge. Integer sums and the makespan (a max) are order-independent; the
+  // double sums run over the session-indexed columns in session order. So
+  // every aggregate is bit-identical at any shard count.
   for (const ShardTotals& tot : totals) {
     const FleetResult& sum = tot.sum;
     result.completed += sum.completed;
@@ -482,12 +423,17 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     result.rounds += sum.rounds;
     result.suspensions += sum.suspensions;
     result.bytes_sent += sum.bytes_sent;
-    result.content += sum.content;
-    result.session_time_s += sum.session_time_s;
-    result.backoff_s += sum.backoff_s;
     result.makespan_s = std::max(result.makespan_s, sum.makespan_s);
     result.proxy += sum.proxy;
   }
+  for (std::size_t i = 0; i < sessions; ++i) {
+    result.session_time_s += times[i];
+    result.content += content[i];
+    result.backoff_s += backoff[i];
+  }
+  // summarize_tails sorts, so the tails depend only on the multiset of
+  // session times (pinned in tests/test_stats_workload.cpp).
+  result.session_time_tails = stats::summarize_tails(times);
   // Read before the trace replay below, which looks documents up again.
   result.cache_hits = cache_.hits();
   result.cache_misses = cache_.misses();
@@ -527,19 +473,6 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
                 return a.session < b.session;
               });
     for (RetainedTrace& rt : result.traces) rt.trace = explain(rt.session);
-  }
-  if (config_.tail_stats) {
-    // summarize_tails sorts, so the outcome depends only on the multiset of
-    // session times — the tail metrics inherit the engine's shard-invariance
-    // bit-for-bit (pinned in tests/test_stats_workload.cpp).
-    std::vector<double> times;
-    times.reserve(sessions);
-    for (ShardTotals& tot : totals) {
-      times.insert(times.end(), tot.times.begin(), tot.times.end());
-      tot.times.clear();
-      tot.times.shrink_to_fit();
-    }
-    result.session_time_tails = stats::summarize_tails(times);
   }
   result.elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)

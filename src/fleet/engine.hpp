@@ -46,12 +46,14 @@
 // sim::simulate_proxied_transfer.
 //
 // Determinism: session i's RNGs (corruption, outage, jitter, document draw)
-// are seeded from (seed, i) only, shard partials are merged in shard order,
-// and event ties break on session index — so a fixed (seed, shards) pair
-// reproduces the aggregate bit-for-bit, and every integer aggregate (plus
-// the cache hit/miss counts) is invariant across shard counts. The same
-// purity makes any session explainable after the fact: explain(i) re-runs
-// session i's walk alone with a full trace attached.
+// are seeded from (seed, i) only and event ties break on session index, so
+// every session's result is independent of the shard count. The run keeps
+// each session's time, content and backoff in session-indexed columns and
+// sums them in session order; integer sums and the makespan (a max) do not
+// depend on order. So every FleetResult aggregate (plus the cache hit/miss
+// counts under an unbounded cache) is bit-identical at any shard count. The
+// same purity makes any session explainable after the fact: explain(i)
+// re-runs session i's walk alone with a full trace attached.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +64,6 @@
 #include "channel/outage.hpp"
 #include "fleet/cache.hpp"
 #include "fleet/telemetry.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/proxied.hpp"
 #include "sim/transfer.hpp"
@@ -89,6 +90,9 @@ struct FleetProxyConfig {
 // simulated clock plus tail-based trace retention (see fleet/telemetry.hpp).
 // Everything it produces is a pure function of (config, seed) — the exported
 // timeline document is bit-identical across shard counts.
+// FleetEngine's constructor rejects a bucket width that is not finite and
+// positive, zero buckets, a fraction outside [0, 1] and a tolerance that is
+// not finite and non-negative.
 struct FleetTelemetryConfig {
   double bucket_width_s = 1.0;      // simulated seconds per bucket
   std::size_t max_buckets = 4096;   // adds past the window clamp into the last
@@ -115,12 +119,6 @@ struct FleetConfig {
   int max_rounds = 25;
   double arrival_spread_s = 0.0;     // session starts staggered over [0, spread)
   bool record_outcomes = false;      // keep per-session results (tests; O(sessions) memory)
-  // Collect every session's transfer time and summarize the distribution in
-  // FleetResult::session_time_tails (p50/p95/p99/p999 + Student-t CI). Costs
-  // 8 bytes per session while the run is live; the summary is a pure function
-  // of the sample multiset, so it is bit-identical across shard counts.
-  bool tail_stats = true;
-  obs::MetricsRegistry* metrics = nullptr;  // optional; shards record concurrently
 
   // Weak connectivity: prototype outage model cloned per session (see the
   // header comment). nullptr = link always up, legacy bit-identical walk.
@@ -191,9 +189,9 @@ struct FleetResult {
   long cache_misses = 0;
   double elapsed_s = 0.0;              // engine wall time
   // Distribution of per-session transfer times (exact order statistics over
-  // the whole fleet; zeroed when FleetConfig::tail_stats is off). This is
-  // what bench_fleet exports as session_time_s_{p50,p95,p99,p999,mean,ci95}
-  // and what the perf gate compares tail-first.
+  // the whole fleet). This is what bench_fleet exports as
+  // session_time_s_{p50,p95,p99,p999,mean,ci95} and what the perf gate
+  // compares tail-first.
   stats::TailSummary session_time_tails;
   FleetProxyTotals proxy;                // zeros unless FleetConfig::proxy
   std::vector<SessionOutcome> outcomes;  // empty unless record_outcomes

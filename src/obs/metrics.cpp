@@ -250,10 +250,4 @@ std::string MetricsRegistry::to_json() const {
   return out;
 }
 
-const std::vector<double>& session_time_buckets() {
-  static const std::vector<double> buckets = {
-      1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0};
-  return buckets;
-}
-
 }  // namespace mobiweb::obs

@@ -173,9 +173,4 @@ class MetricsRegistry {
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
-// Canonical bucket edges (seconds) for session-duration histograms, shared
-// by the fleet engine's aggregate and per-status `fleet.session_time_s`
-// series so exported distributions stay directly comparable.
-const std::vector<double>& session_time_buckets();
-
 }  // namespace mobiweb::obs

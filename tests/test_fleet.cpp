@@ -2,19 +2,18 @@
 //
 // The load-bearing properties pinned here:
 //   * determinism — (seed, shards) reproduces aggregates bit-for-bit, and
-//     integer aggregates (plus cache hit/miss counts) are invariant across
+//     every aggregate (plus cache hit/miss counts) is bit-identical across
 //     shard counts;
 //   * per-session parity — the fleet state machine is sim::simulate_transfer
 //     exactly (same draw order), so per-session results are bit-equal;
 //   * cache dedup — one build per (document, gamma) no matter how many
-//     threads race on the key, and cooked frames decode back to the payload;
-//   * metrics — shards record into one shared registry concurrently and the
-//     totals match the engine's own aggregates.
+//     threads race on the key, and cooked frames decode back to the payload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "channel/channel.hpp"
@@ -46,6 +45,23 @@ fleet::FleetConfig small_config(std::size_t sessions) {
   return cfg;
 }
 
+void expect_proxy_totals_equal(const fleet::FleetProxyTotals& a,
+                               const fleet::FleetProxyTotals& b) {
+  EXPECT_EQ(a.replica_hits, b.replica_hits);
+  EXPECT_EQ(a.stale_serves, b.stale_serves);
+  EXPECT_EQ(a.failovers, b.failovers);
+  EXPECT_EQ(a.handoffs, b.handoffs);
+  EXPECT_EQ(a.origin_fetches, b.origin_fetches);
+  EXPECT_EQ(a.origin_suspensions, b.origin_suspensions);
+  EXPECT_EQ(a.reconciliations, b.reconciliations);
+  EXPECT_EQ(a.packets_refetched, b.packets_refetched);
+  EXPECT_EQ(a.stale_frames, b.stale_frames);
+  EXPECT_EQ(a.sessions_ended_stale, b.sessions_ended_stale);
+  EXPECT_EQ(a.origin_generation_bumps, b.origin_generation_bumps);
+  EXPECT_EQ(a.reconcile_dropped_packets, b.reconcile_dropped_packets);
+}
+
+// Every simulated aggregate of two runs, bit for bit.
 void expect_identical(const fleet::FleetResult& a, const fleet::FleetResult& b) {
   EXPECT_EQ(a.sessions, b.sessions);
   EXPECT_EQ(a.completed, b.completed);
@@ -63,6 +79,13 @@ void expect_identical(const fleet::FleetResult& a, const fleet::FleetResult& b) 
   EXPECT_EQ(a.makespan_s, b.makespan_s);
   EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.cache_misses, b.cache_misses);
+  const auto tails = [](const fleet::FleetResult& r) {
+    const mw::stats::TailSummary& t = r.session_time_tails;
+    return std::tie(t.count, t.mean, t.stddev, t.ci95, t.min, t.max, t.p50, t.p95,
+                    t.p99, t.p999);
+  };
+  EXPECT_TRUE(tails(a) == tails(b));
+  expect_proxy_totals_equal(a.proxy, b.proxy);
 }
 
 // Rebuilds the exact TransferConfig a fleet session ran under, for parity
@@ -145,21 +168,10 @@ TEST(FleetEngine, IntegerAggregatesInvariantAcrossShardCounts) {
   fleet::FleetEngine sharded(cfg);
   const fleet::FleetResult b = sharded.run(&pool);
 
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.gave_up, b.gave_up);
-  EXPECT_EQ(a.aborted_irrelevant, b.aborted_irrelevant);
-  EXPECT_EQ(a.frames_sent, b.frames_sent);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
-  // Cache accounting is invariant too: misses == distinct (doc, gamma) keys,
-  // hits == one serving per session.
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  // The per-session values are identical; only the summation order differs.
-  EXPECT_NEAR(a.content, b.content, 1e-9);
-  EXPECT_NEAR(a.session_time_s, b.session_time_s, 1e-6);
-  // max() is order-independent, so the makespan matches exactly.
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
+  // Cache accounting is invariant too (misses == distinct (doc, gamma) keys,
+  // hits == one serving per session), and the double sums run in session
+  // order, so every aggregate is bit-equal.
+  expect_identical(a, b);
   EXPECT_EQ(b.shards, 4u);
 }
 
@@ -281,26 +293,6 @@ TEST(FleetEngine, ArrivalSpreadStaggersSessionStarts) {
     prev = out.start_s;
   }
   EXPECT_GE(r.makespan_s, prev);
-}
-
-TEST(FleetEngine, MetricsMatchEngineAggregates) {
-  mw::obs::MetricsRegistry registry;
-  fleet::FleetConfig cfg = small_config(48);
-  cfg.metrics = &registry;
-  cfg.shards = 3;
-  mw::ThreadPool pool(2);
-  fleet::FleetEngine engine(cfg);
-  const fleet::FleetResult r = engine.run(&pool);
-
-  EXPECT_EQ(registry.counter("fleet.sessions").value(),
-            static_cast<long>(r.sessions));
-  EXPECT_EQ(registry.counter("fleet.sessions_completed").value(), r.completed);
-  EXPECT_EQ(registry.counter("fleet.sessions_gave_up").value(), r.gave_up);
-  EXPECT_EQ(registry.counter("fleet.frames_sent").value(), r.frames_sent);
-  const mw::obs::Histogram* h = registry.find_histogram("fleet.session_time_s");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), static_cast<long>(r.sessions));
-  EXPECT_NEAR(h->sum(), r.session_time_s, 1e-6);
 }
 
 TEST(FleetEngine, GammaMixKeysTheCachePerGamma) {
@@ -553,25 +545,32 @@ TEST(FleetOutage, DeterministicAndShardInvariantWithOutages) {
   fleet::FleetEngine sharded(cfg);
   const fleet::FleetResult b = sharded.run(&pool);
   EXPECT_EQ(b.shards, 4u);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.gave_up, b.gave_up);
-  EXPECT_EQ(a.aborted_irrelevant, b.aborted_irrelevant);
-  EXPECT_EQ(a.degraded, b.degraded);
-  EXPECT_EQ(a.frames_sent, b.frames_sent);
-  EXPECT_EQ(a.frames_lost, b.frames_lost);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.suspensions, b.suspensions);
-  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_NEAR(a.content, b.content, 1e-9);
-  EXPECT_NEAR(a.session_time_s, b.session_time_s, 1e-6);
-  EXPECT_NEAR(a.backoff_s, b.backoff_s, 1e-6);
+  expect_identical(a, b);
   // The outage machinery actually engaged at this duty cycle and budget.
   EXPECT_GT(a.frames_lost, 0);
   EXPECT_GT(a.suspensions, 0);
   EXPECT_GT(a.degraded, 0);
+}
+
+TEST(FleetOutage, DoubleSumsBitEqualAtAnyShardCount) {
+  // content, session_time_s and backoff_s are summed in session order, not
+  // per shard and then merged: a few thousand fading Zipf sessions give
+  // shard-order sums every chance to differ in their last digits.
+  fleet::FleetConfig cfg = outage_config(3000);
+  cfg.zipf_s = 0.8;
+  cfg.record_outcomes = false;
+  cfg.shards = 1;
+  const fleet::FleetResult serial = fleet::FleetEngine(cfg).run();
+  EXPECT_GT(serial.backoff_s, 0.0);
+
+  mw::ThreadPool pool(3);
+  for (const std::size_t shards : {2u, 3u, 7u}) {
+    SCOPED_TRACE(shards);
+    cfg.shards = shards;
+    const fleet::FleetResult r = fleet::FleetEngine(cfg).run(&pool);
+    EXPECT_EQ(r.shards, shards);
+    expect_identical(serial, r);
+  }
 }
 
 TEST(FleetOutage, TerminatesAtTheRoundCapUnderAPermanentOutage) {
@@ -616,40 +615,6 @@ TEST(FleetOutage, PermanentOutageExhaustsTheBudgetIntoDegraded) {
     EXPECT_EQ(out.result.content, 0.0);
     EXPECT_GT(out.result.backoff_s, 0.0);
   }
-}
-
-TEST(FleetOutage, MetricsIncludeOutageAndPerStatusSeries) {
-  mw::obs::MetricsRegistry registry;
-  fleet::FleetConfig cfg = outage_config(48);
-  cfg.retry.retry_budget = 8;
-  cfg.metrics = &registry;
-  cfg.shards = 3;
-  mw::ThreadPool pool(2);
-  fleet::FleetEngine engine(cfg);
-  const fleet::FleetResult r = engine.run(&pool);
-
-  EXPECT_EQ(registry.counter("fleet.sessions_degraded").value(), r.degraded);
-  EXPECT_EQ(registry.counter("fleet.frames_lost_outage").value(), r.frames_lost);
-  EXPECT_EQ(registry.counter("fleet.suspensions").value(), r.suspensions);
-  const auto* total = registry.find_histogram("fleet.session_time_s");
-  ASSERT_NE(total, nullptr);
-  EXPECT_EQ(total->count(), static_cast<long>(r.sessions));
-  long by_status = 0;
-  const auto* completed =
-      registry.find_histogram("fleet.session_time_s{status=completed}");
-  const auto* gave_up =
-      registry.find_histogram("fleet.session_time_s{status=gave_up}");
-  const auto* degraded =
-      registry.find_histogram("fleet.session_time_s{status=degraded}");
-  const auto* aborted = registry.find_histogram(
-      "fleet.session_time_s{status=aborted_irrelevant}");
-  for (const auto* h : {completed, gave_up, degraded, aborted}) {
-    ASSERT_NE(h, nullptr);
-    by_status += h->count();
-  }
-  EXPECT_EQ(by_status, static_cast<long>(r.sessions));
-  EXPECT_EQ(completed->count(), r.completed);
-  EXPECT_EQ(degraded->count(), r.degraded);
 }
 
 // ---- Workload shape (Zipf popularity, Poisson arrivals) ----
@@ -866,22 +831,6 @@ void expect_session_matches_proxied_oracle(const fleet::FleetConfig& cfg,
                               cfg.seed, out.session, cfg.proxy->model.proxies));
 }
 
-void expect_proxy_totals_equal(const fleet::FleetProxyTotals& a,
-                               const fleet::FleetProxyTotals& b) {
-  EXPECT_EQ(a.replica_hits, b.replica_hits);
-  EXPECT_EQ(a.stale_serves, b.stale_serves);
-  EXPECT_EQ(a.failovers, b.failovers);
-  EXPECT_EQ(a.handoffs, b.handoffs);
-  EXPECT_EQ(a.origin_fetches, b.origin_fetches);
-  EXPECT_EQ(a.origin_suspensions, b.origin_suspensions);
-  EXPECT_EQ(a.reconciliations, b.reconciliations);
-  EXPECT_EQ(a.packets_refetched, b.packets_refetched);
-  EXPECT_EQ(a.stale_frames, b.stale_frames);
-  EXPECT_EQ(a.sessions_ended_stale, b.sessions_ended_stale);
-  EXPECT_EQ(a.origin_generation_bumps, b.origin_generation_bumps);
-  EXPECT_EQ(a.reconcile_dropped_packets, b.reconcile_dropped_packets);
-}
-
 }  // namespace
 
 TEST(FleetProxy, PerSessionParityWithProxiedOracle) {
@@ -951,26 +900,13 @@ TEST(FleetProxy, DeterministicAndShardInvariantWithProxy) {
   const fleet::FleetResult a = serial.run();
   const fleet::FleetResult a2 = again.run();
   expect_identical(a, a2);  // fixed (seed, shards) reproduces
-  expect_proxy_totals_equal(a.proxy, a2.proxy);
 
   mw::ThreadPool pool(3);
   cfg.shards = 4;
   fleet::FleetEngine sharded(cfg);
   const fleet::FleetResult b = sharded.run(&pool);
   EXPECT_EQ(b.shards, 4u);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.gave_up, b.gave_up);
-  EXPECT_EQ(a.aborted_irrelevant, b.aborted_irrelevant);
-  EXPECT_EQ(a.degraded, b.degraded);
-  EXPECT_EQ(a.frames_sent, b.frames_sent);
-  EXPECT_EQ(a.frames_lost, b.frames_lost);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.suspensions, b.suspensions);
-  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_NEAR(a.content, b.content, 1e-9);
-  EXPECT_NEAR(a.session_time_s, b.session_time_s, 1e-6);
-  expect_proxy_totals_equal(a.proxy, b.proxy);
+  expect_identical(a, b);
   // The edge tier engaged in every dimension that shard order could perturb.
   EXPECT_GT(a.proxy.failovers, 0);
   EXPECT_GT(a.proxy.handoffs, 0);
@@ -1020,40 +956,6 @@ TEST(FleetProxy, TransparentProxyMatchesTheDirectWalkPerSession) {
   EXPECT_EQ(b.proxy.reconcile_dropped_packets, 0);
   EXPECT_GE(b.proxy.replica_hits, static_cast<long>(b.sessions));
   EXPECT_EQ(b.proxy.reconciliations, b.suspensions);
-}
-
-TEST(FleetProxy, MetricsIncludeEdgeTierSeries) {
-  mw::obs::MetricsRegistry registry;
-  fleet::FleetConfig cfg = proxied_config(48);
-  cfg.metrics = &registry;
-  cfg.shards = 3;
-  mw::ThreadPool pool(2);
-  fleet::FleetEngine engine(cfg);
-  const fleet::FleetResult r = engine.run(&pool);
-
-  EXPECT_EQ(registry.counter("proxy.replica_hits").value(),
-            r.proxy.replica_hits);
-  EXPECT_EQ(registry.counter("proxy.stale_serves").value(),
-            r.proxy.stale_serves);
-  EXPECT_EQ(registry.counter("proxy.failovers").value(), r.proxy.failovers);
-  EXPECT_EQ(registry.counter("proxy.handoffs").value(), r.proxy.handoffs);
-  EXPECT_EQ(registry.counter("proxy.origin_fetches").value(),
-            r.proxy.origin_fetches);
-  EXPECT_EQ(registry.counter("proxy.origin_suspensions").value(),
-            r.proxy.origin_suspensions);
-  EXPECT_EQ(registry.counter("proxy.reconciliations").value(),
-            r.proxy.reconciliations);
-  EXPECT_EQ(registry.counter("proxy.packets_refetched").value(),
-            r.proxy.packets_refetched);
-  EXPECT_EQ(registry.counter("proxy.stale_frames").value(),
-            r.proxy.stale_frames);
-  EXPECT_EQ(registry.counter("proxy.sessions_ended_stale").value(),
-            r.proxy.sessions_ended_stale);
-  EXPECT_EQ(registry.counter("proxy.origin_generation_bumps").value(),
-            r.proxy.origin_generation_bumps);
-  EXPECT_EQ(registry.counter("proxy.reconcile_dropped_packets").value(),
-            r.proxy.reconcile_dropped_packets);
-  EXPECT_GT(r.proxy.replica_hits + r.proxy.origin_fetches, 0);
 }
 
 // ---- Bounded document cache (LRU + IC-weighted admission) ----
@@ -1152,7 +1054,9 @@ TEST(FleetEngine, BoundedCacheKeepsServingInvariantAcrossShardCounts) {
   EXPECT_EQ(a.frames_sent, b.frames_sent);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
-  EXPECT_NEAR(a.content, b.content, 1e-9);
+  EXPECT_EQ(a.content, b.content);
+  EXPECT_EQ(a.session_time_s, b.session_time_s);
+  EXPECT_EQ(a.backoff_s, b.backoff_s);
   EXPECT_EQ(a.makespan_s, b.makespan_s);
   // The bound actually bound: rebuilds happened and residency stayed capped.
   EXPECT_GT(a.cache_misses, 8);  // > distinct keys -> evict/rebuild churn

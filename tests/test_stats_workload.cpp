@@ -210,16 +210,6 @@ TEST(FleetTails, BitIdenticalAcrossShardCounts) {
   EXPECT_EQ(a.session_time_tails.count, 400u);
 }
 
-TEST(FleetTails, DisabledTailStatsLeavesTheSummaryZeroed) {
-  fleet::FleetConfig cfg = workload_config(50);
-  cfg.tail_stats = false;
-  fleet::FleetEngine engine(cfg);
-  const fleet::FleetResult r = engine.run();
-  EXPECT_EQ(r.session_time_tails.count, 0u);
-  EXPECT_EQ(r.session_time_tails.p99, 0.0);
-  EXPECT_GT(r.session_time_s, 0.0);  // the scalar aggregate still works
-}
-
 TEST(FleetTails, StreamingEstimatorTracksTheFleetDistribution) {
   // The fleet's session-time distribution is multi-modal (per-(doc, gamma)
   // round quantization) — a worst case for P-squared. The streaming estimate

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -16,6 +17,7 @@
 #include "fleet/telemetry.hpp"
 #include "obs/export.hpp"
 #include "obs/timeseries.hpp"
+#include "util/check.hpp"
 
 namespace mw = mobiweb;
 namespace fleet = mobiweb::fleet;
@@ -341,10 +343,50 @@ TEST(FleetTelemetry, TelemetryNeverAltersSessionResults) {
   EXPECT_EQ(a.frames_lost, b.frames_lost);
   EXPECT_EQ(a.suspensions, b.suspensions);
   EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_DOUBLE_EQ(a.session_time_s, b.session_time_s);
-  EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
+  EXPECT_EQ(a.content, b.content);
+  EXPECT_EQ(a.session_time_s, b.session_time_s);
+  EXPECT_EQ(a.backoff_s, b.backoff_s);
+  EXPECT_EQ(a.makespan_s, b.makespan_s);
   // Retention replays look documents up again; the run's counters must not
   // include those lookups.
   EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.cache_misses, b.cache_misses);
+}
+
+TEST(FleetTelemetry, BadConfigIsRejectedAtConstruction) {
+  // Each row breaks one field of an otherwise valid telemetry config; the
+  // engine must refuse it up front, not clamp it or fail inside run().
+  using Tc = fleet::FleetTelemetryConfig;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* what;
+    void (*set)(Tc&);
+  } cases[] = {
+      {"fraction above 1", [](Tc& t) { t.trace_top_fraction = 1.5; }},
+      {"negative fraction", [](Tc& t) { t.trace_top_fraction = -0.1; }},
+      {"NaN fraction", [](Tc& t) { t.trace_top_fraction = kNaN; }},
+      {"zero bucket width", [](Tc& t) { t.bucket_width_s = 0.0; }},
+      {"negative bucket width", [](Tc& t) { t.bucket_width_s = -1.0; }},
+      {"infinite bucket width", [](Tc& t) { t.bucket_width_s = kInf; }},
+      {"NaN bucket width", [](Tc& t) { t.bucket_width_s = kNaN; }},
+      {"zero buckets", [](Tc& t) { t.max_buckets = 0; }},
+      {"negative tolerance", [](Tc& t) { t.slo_tolerance = -0.5; }},
+      {"infinite tolerance", [](Tc& t) { t.slo_tolerance = kInf; }},
+      {"NaN tolerance", [](Tc& t) { t.slo_tolerance = kNaN; }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    fleet::FleetConfig cfg = lossy_config(10);
+    c.set(*cfg.telemetry);
+    EXPECT_THROW(fleet::FleetEngine{cfg}, mw::ContractViolation);
+  }
+  // The edges of each range are valid.
+  fleet::FleetConfig edges = lossy_config(10);
+  edges.telemetry->trace_top_fraction = 1.0;
+  edges.telemetry->max_buckets = 1;
+  edges.telemetry->slo_tolerance = 0.0;
+  EXPECT_EQ(fleet::FleetEngine(edges).run().trace_tail_target, 10u);
+  edges.telemetry->trace_top_fraction = 0.0;
+  EXPECT_EQ(fleet::FleetEngine(edges).run().trace_tail_target, 0u);
 }
