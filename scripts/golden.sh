@@ -8,7 +8,7 @@
 # BENCH_DIR holds the built bench binaries (default: build/bench). Two kinds
 # of golden are checked, both under MOBIWEB_FAST=1:
 #   1. tests/golden/*: the text (and --json / --trace / --timeline) output of
-#      the figure, table, outage, throughput and broadcast benches plus one
+#      the figure, table, outage, throughput and ablation benches plus one
 #      fleet and one proxy timeline, compared byte for byte;
 #   2. bench/baselines/*.json: every key of a live run must equal the
 #      baseline's value exactly, except the wall-clock keys named in
@@ -40,7 +40,9 @@ run() {
 
 mkdir -p "$TMP/out" "$TMP/base"
 for fig in fig2 fig3 fig4 fig5 fig6 fig7 table1 table2 outage throughput \
-           ablation_broadcast; do
+           ablation_arq ablation_broadcast ablation_channel ablation_content \
+           ablation_gamma ablation_packetsize ablation_prefetch \
+           ablation_ranking; do
   run "bench_$fig.txt" "bench_$fig"
 done
 for fig in fig2 fig4 table2 outage throughput; do
