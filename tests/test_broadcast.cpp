@@ -6,7 +6,7 @@
 #include "broadcast/broadcast.hpp"
 #include "doc/content.hpp"
 #include "doc/linear.hpp"
-#include "util/stats.hpp"
+#include "stats/describe.hpp"
 #include "xml/parser.hpp"
 
 namespace broadcast = mobiweb::broadcast;
@@ -149,7 +149,7 @@ TEST(BroadcastClient, ExpectedFramesMatchTheory) {
   const auto d = make_doc(10, 20);
   const auto id = server.publish(d);
   const auto m = static_cast<double>(server.info(id).m);
-  mobiweb::RunningStats heard;
+  mobiweb::stats::Moments heard;
   for (int trial = 0; trial < 300; ++trial) {
     auto ch = make_channel(0.25, 100 + static_cast<std::uint64_t>(trial));
     const auto r = broadcast::listen_for(server, id, 0, ch);

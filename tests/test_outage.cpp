@@ -402,7 +402,7 @@ TEST(ExperimentOutage, RunsAndDegradesThroughput) {
   const auto base = sim::run_browsing_experiment(clean);
   const auto hit = sim::run_browsing_experiment(faulty);
   // Outages burn airtime without delivering: mean response time must rise.
-  EXPECT_GT(hit.response_time.mean, base.response_time.mean);
+  EXPECT_GT(hit.response_time.mean(), base.response_time.mean());
   EXPECT_GT(hit.total_packets, base.total_packets);
 }
 

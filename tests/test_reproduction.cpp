@@ -23,7 +23,7 @@ sim::ExperimentParams base_params() {
 }
 
 double mean_rt(const sim::ExperimentParams& p) {
-  return sim::run_browsing_experiment(p).response_time.mean;
+  return sim::run_browsing_experiment(p).response_time.mean();
 }
 
 }  // namespace

@@ -242,6 +242,13 @@ TEST(Moments, RejectsNaNAndMerges) {
   stats::Moments a;
   EXPECT_FALSE(a.add(kNan));
   EXPECT_EQ(a.count(), 0u);
+  EXPECT_EQ(a.mean(), 0.0);
+  EXPECT_EQ(a.stddev(), 0.0);
+  stats::Moments one;
+  one.add(3.0);
+  EXPECT_EQ(one.mean(), 3.0);
+  EXPECT_EQ(one.stddev(), 0.0);
+  EXPECT_EQ(stats::mean_ci95_halfwidth(one.count(), one.stddev()), 0.0);
   stats::Moments b;
   stats::Moments whole;
   const auto samples = uniform_draws(2000, 0x5eed0005);

@@ -15,7 +15,6 @@
 #include "util/crc.hpp"
 #include "util/ewma.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -196,52 +195,6 @@ TEST(Ewma, RejectsBadAlpha) {
   EXPECT_THROW(mw::Ewma(0.0), mw::ContractViolation);
   EXPECT_THROW(mw::Ewma(1.5), mw::ContractViolation);
   EXPECT_NO_THROW(mw::Ewma(1.0));
-}
-
-TEST(Stats, MeanAndStddev) {
-  mw::RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-}
-
-TEST(Stats, EmptyAndSingle) {
-  mw::RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-  s.add(3.0);
-  EXPECT_EQ(s.mean(), 3.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-  EXPECT_EQ(s.ci95_halfwidth(), 0.0);
-}
-
-TEST(Stats, MergeMatchesSequential) {
-  mw::RunningStats all;
-  mw::RunningStats a;
-  mw::RunningStats b;
-  mw::Rng rng(14);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.next_range(-5, 5);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(Stats, Summarize) {
-  const mw::Summary s = mw::summarize({1.0, 2.0, 3.0});
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
 }
 
 TEST(Table, RendersAlignedAndCsv) {
