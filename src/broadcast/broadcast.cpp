@@ -1,5 +1,7 @@
 #include "broadcast/broadcast.hpp"
 
+#include "ida/ida.hpp"
+#include "packet/packet.hpp"
 #include "util/check.hpp"
 
 namespace mobiweb::broadcast {
@@ -11,35 +13,11 @@ BroadcastServer::BroadcastServer(BroadcastConfig config) : config_(config) {
 
 std::uint16_t BroadcastServer::publish(const doc::LinearDocument& document) {
   MOBIWEB_CHECK_MSG(!built_, "BroadcastServer: cycle already built");
-  MOBIWEB_CHECK_MSG(!document.payload.empty(), "BroadcastServer: empty document");
   MOBIWEB_CHECK_MSG(documents_.size() < 0xfffe, "BroadcastServer: too many documents");
-
-  Entry entry;
-  entry.info.doc_id = static_cast<std::uint16_t>(documents_.size() + 1);
-  entry.info.packet_size = config_.packet_size;
-  entry.info.payload_size = document.payload.size();
-  entry.info.m = ida::packet_count(document.payload.size(), config_.packet_size);
-  MOBIWEB_CHECK_MSG(entry.info.m <= 255, "BroadcastServer: document too large");
-  const double n_raw = config_.gamma * static_cast<double>(entry.info.m);
-  entry.info.n = std::min<std::size_t>(255, static_cast<std::size_t>(n_raw + 0.999999));
-  if (entry.info.n < entry.info.m) entry.info.n = entry.info.m;
-
-  ida::Encoder encoder(entry.info.m, entry.info.n);
-  const auto cooked =
-      encoder.encode_payload(ByteSpan(document.payload), config_.packet_size);
-  entry.frames.reserve(entry.info.n);
-  for (std::size_t i = 0; i < entry.info.n; ++i) {
-    packet::Packet p;
-    p.doc_id = entry.info.doc_id;
-    p.seq = static_cast<std::uint16_t>(i);
-    p.total = static_cast<std::uint16_t>(entry.info.n);
-    if (i < entry.info.m) p.flags |= packet::kFlagClearText;
-    if (i + 1 == entry.info.n) p.flags |= packet::kFlagLast;
-    p.payload = ByteSpan(cooked[i]);
-    entry.frames.push_back(packet::encode(p));
-  }
-  documents_.push_back(std::move(entry));
-  return documents_.back().info.doc_id;
+  const auto doc_id = static_cast<std::uint16_t>(documents_.size() + 1);
+  documents_.emplace_back(document, transmit::TransmitterConfig{
+                                        config_.packet_size, config_.gamma, doc_id});
+  return doc_id;
 }
 
 void BroadcastServer::build_cycle() const {
@@ -48,12 +26,12 @@ void BroadcastServer::build_cycle() const {
   if (config_.interleave) {
     // Round-robin over documents until all frames are scheduled.
     std::size_t remaining = 0;
-    for (const auto& d : documents_) remaining += d.frames.size();
+    for (const auto& d : documents_) remaining += d.n();
     std::vector<std::size_t> next(documents_.size(), 0);
     while (remaining > 0) {
       for (std::size_t d = 0; d < documents_.size(); ++d) {
-        if (next[d] < documents_[d].frames.size()) {
-          cycle_.push_back(documents_[d].frames[next[d]]);
+        if (next[d] < documents_[d].n()) {
+          cycle_.push_back(documents_[d].frame(next[d]));
           ++next[d];
           --remaining;
         }
@@ -61,7 +39,7 @@ void BroadcastServer::build_cycle() const {
     }
   } else {
     for (const auto& d : documents_) {
-      cycle_.insert(cycle_.end(), d.frames.begin(), d.frames.end());
+      cycle_.insert(cycle_.end(), d.frames().begin(), d.frames().end());
     }
   }
   built_ = true;
@@ -72,10 +50,11 @@ const std::vector<Bytes>& BroadcastServer::cycle() const {
   return cycle_;
 }
 
-const DocumentInfo& BroadcastServer::info(std::uint16_t doc_id) const {
+DocumentInfo BroadcastServer::info(std::uint16_t doc_id) const {
   MOBIWEB_CHECK_MSG(doc_id >= 1 && doc_id <= documents_.size(),
                     "BroadcastServer::info: unknown doc_id");
-  return documents_[doc_id - 1].info;
+  const transmit::DocumentTransmitter& tx = documents_[doc_id - 1];
+  return {tx.doc_id(), tx.m(), tx.n(), tx.packet_size(), tx.payload_size()};
 }
 
 ListenResult listen_for(const BroadcastServer& server, std::uint16_t doc_id,
@@ -83,7 +62,7 @@ ListenResult listen_for(const BroadcastServer& server, std::uint16_t doc_id,
                         int max_cycles, obs::SessionTrace* trace) {
   const auto& cycle = server.cycle();
   MOBIWEB_CHECK_MSG(!cycle.empty(), "listen_for: empty cycle");
-  const DocumentInfo& info = server.info(doc_id);
+  const DocumentInfo info = server.info(doc_id);
   ida::StreamingDecoder decoder(info.m, info.n, info.packet_size,
                                 info.payload_size);
 

@@ -9,8 +9,9 @@
 // client can tune in at an arbitrary point of the cycle and still finish
 // after ~M intact packets of its document.
 //
-// BroadcastServer builds the cycle (IDA-encoded frames of every published
-// document, either document-by-document or interleaved round-robin);
+// BroadcastServer builds the cycle (the transmit::DocumentTransmitter frames
+// of every published document, either document-by-document or interleaved
+// round-robin);
 // BroadcastClient models one listener wanting one document.
 #pragma once
 
@@ -20,9 +21,8 @@
 
 #include "channel/channel.hpp"
 #include "doc/linear.hpp"
-#include "ida/ida.hpp"
 #include "obs/trace.hpp"
-#include "packet/packet.hpp"
+#include "transmit/transmitter.hpp"
 #include "util/bytes.hpp"
 
 namespace mobiweb::broadcast {
@@ -50,7 +50,8 @@ class BroadcastServer {
   explicit BroadcastServer(BroadcastConfig config = {});
 
   // Publishes a document; returns its doc_id. All documents must be
-  // published before the first cycle() call.
+  // published before the first cycle() call. Throws ContractViolation where
+  // DocumentTransmitter does (an empty or oversized document).
   std::uint16_t publish(const doc::LinearDocument& document);
 
   // The broadcast cycle: every cooked frame of every document, in schedule
@@ -58,18 +59,14 @@ class BroadcastServer {
   [[nodiscard]] const std::vector<Bytes>& cycle() const;
 
   [[nodiscard]] std::size_t cycle_frames() const { return cycle().size(); }
-  [[nodiscard]] const DocumentInfo& info(std::uint16_t doc_id) const;
+  [[nodiscard]] DocumentInfo info(std::uint16_t doc_id) const;
   [[nodiscard]] std::size_t documents() const { return documents_.size(); }
 
  private:
   void build_cycle() const;
 
   BroadcastConfig config_;
-  struct Entry {
-    DocumentInfo info;
-    std::vector<Bytes> frames;
-  };
-  std::vector<Entry> documents_;
+  std::vector<transmit::DocumentTransmitter> documents_;
   mutable std::vector<Bytes> cycle_;
   mutable bool built_ = false;
 };

@@ -1,9 +1,7 @@
 #include "fleet/cache.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "ida/ida.hpp"
 #include "util/check.hpp"
 
 namespace mobiweb::fleet {
@@ -32,20 +30,6 @@ std::shared_ptr<const CookedDocument> DocumentCache::build(
   tcfg.packet_size = config_.doc.packet_size;
   tcfg.gamma = key.gamma;
   tcfg.doc_id = static_cast<std::uint16_t>(key.doc_index + 1);
-
-  // The *requested* cooked count n = ⌈γ·m⌉ must fit the engine's fixed
-  // per-session `seen` bitmap. The transmitter itself silently clamps n to
-  // the GF(256) encoder limit, so checking its post-clamp n() would never
-  // fire — and the clamp would quietly serve less redundancy than the fleet
-  // config promised. Reject the spec here, once per (document, γ), before
-  // any session runs against a truncated cooked set.
-  const std::size_t m_requested =
-      ida::packet_count(linear.payload.size(), tcfg.packet_size);
-  const auto n_requested = static_cast<std::size_t>(
-      std::ceil(key.gamma * static_cast<double>(m_requested)));
-  MOBIWEB_CHECK_MSG(n_requested <= kMaxCookedPackets,
-                    "DocumentCache: requested cooked packet count exceeds the "
-                    "fleet session bitmap (n = ceil(gamma*m) must be <= 256)");
 
   auto cooked = std::make_shared<CookedDocument>(CookedDocument{
       transmit::DocumentTransmitter(std::move(linear), tcfg), {}, 0.0, 0});

@@ -48,12 +48,6 @@
 
 namespace mobiweb::fleet {
 
-// Hard cap on cooked packets per document served by the cache: the most a
-// sim::SessionWalk keeps inline in its receipt bitmap, so no fleet session
-// allocates one. DocumentCache enforces the bound at build time (a γ/corpus
-// spec that cooks more packets throws ContractViolation).
-inline constexpr std::size_t kMaxCookedPackets = 256;
-
 // Identifies one cooked encoding: document `doc_index` of the synthetic
 // corpus, expanded with redundancy ratio `gamma`.
 struct CacheKey {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,6 +54,20 @@ const gf::Matrix& systematic_generator(std::size_t n, std::size_t m) {
   return *slot;
 }
 
+std::size_t cooked_count(std::size_t m, double gamma) {
+  MOBIWEB_CHECK_MSG(std::isfinite(gamma) && gamma >= 1.0,
+                    "cooked_count: gamma must be finite and >= 1");
+  MOBIWEB_CHECK_MSG(m >= 1 && m <= kMaxPackets, "cooked_count: m must be in [1, 255]");
+  const double product = gamma * static_cast<double>(m);
+  const double nearest = std::round(product);
+  const double n = std::abs(product - nearest) <= kCookedCountTolerance * product
+                       ? nearest
+                       : std::ceil(product);
+  MOBIWEB_CHECK_MSG(n <= static_cast<double>(kMaxPackets),
+                    "cooked_count: N = gamma * m exceeds 255 over GF(2^8)");
+  return static_cast<std::size_t>(n);
+}
+
 std::size_t packet_count(std::size_t payload_size, std::size_t packet_size) {
   MOBIWEB_CHECK_MSG(packet_size >= 1, "packet_count: packet_size must be >= 1");
   return (payload_size + packet_size - 1) / packet_size;
@@ -76,7 +91,7 @@ std::vector<Bytes> split_payload(ByteSpan payload, std::size_t packet_size) {
 Encoder::Encoder(std::size_t m, std::size_t n) : m_(m), n_(n) {
   MOBIWEB_CHECK_MSG(m >= 1, "Encoder: m must be >= 1");
   MOBIWEB_CHECK_MSG(n >= m, "Encoder: n must be >= m");
-  MOBIWEB_CHECK_MSG(n <= 255, "Encoder: n must be <= 255 over GF(2^8)");
+  MOBIWEB_CHECK_MSG(n <= kMaxPackets, "Encoder: n must be <= 255 over GF(2^8)");
 }
 
 std::vector<Bytes> Encoder::encode(const std::vector<Bytes>& raw) const {
@@ -116,7 +131,7 @@ std::vector<Bytes> Encoder::encode_payload(ByteSpan payload,
 Decoder::Decoder(std::size_t m, std::size_t n) : m_(m), n_(n) {
   MOBIWEB_CHECK_MSG(m >= 1, "Decoder: m must be >= 1");
   MOBIWEB_CHECK_MSG(n >= m, "Decoder: n must be >= m");
-  MOBIWEB_CHECK_MSG(n <= 255, "Decoder: n must be <= 255 over GF(2^8)");
+  MOBIWEB_CHECK_MSG(n <= kMaxPackets, "Decoder: n must be <= 255 over GF(2^8)");
 }
 
 namespace {
@@ -241,7 +256,8 @@ StreamingDecoder::StreamingDecoder(std::size_t m, std::size_t n,
                                    std::size_t payload_size)
     : m_(m), n_(n), packet_size_(packet_size), payload_size_(payload_size),
       seen_(n, false), clear_slot_(m, kNoSlot) {
-  MOBIWEB_CHECK_MSG(m >= 1 && n >= m && n <= 255, "StreamingDecoder: bad (m, n)");
+  MOBIWEB_CHECK_MSG(m >= 1 && n >= m && n <= kMaxPackets,
+                    "StreamingDecoder: bad (m, n)");
   MOBIWEB_CHECK_MSG(packet_size >= 1, "StreamingDecoder: packet_size must be >= 1");
   MOBIWEB_CHECK_MSG(payload_size >= 1 && payload_size <= m * packet_size,
                     "StreamingDecoder: payload_size inconsistent with m*packet_size");

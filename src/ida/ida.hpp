@@ -42,6 +42,24 @@ inline constexpr std::size_t kDefaultParallelThreshold = 1u << 18;
 std::size_t parallel_threshold();
 std::size_t set_parallel_threshold(std::size_t byte_multiplies);
 
+// Most packets, raw or cooked, in one dispersal group: the generator's rows
+// are evaluation points of GF(2^8), which has 255 non-zero elements.
+inline constexpr std::size_t kMaxPackets = 255;
+
+// Relative tolerance under which cooked_count treats γ·m as a whole number.
+// Decimal ratios are inexact in binary, so γ·m can land a few ulps above the
+// integer it stands for (1.1 · 50 = 55.000000000000007, where ceil gives 56);
+// any product within kCookedCountTolerance · γ·m of an integer is that
+// integer.
+inline constexpr double kCookedCountTolerance = 1e-9;
+
+// The one definition of N from (M, γ), "N = γ·M" of §4.1: ⌈γ·m⌉, where a
+// product within the tolerance above of an integer counts as that integer
+// (so cooked_count(m, n / m) == n for every 1 <= m <= n <= kMaxPackets).
+// Throws ContractViolation on a non-finite γ, γ < 1, m = 0, m > kMaxPackets
+// or N > kMaxPackets; nothing is clamped.
+std::size_t cooked_count(std::size_t m, double gamma);
+
 // Number of raw packets needed to carry `payload_size` bytes at `packet_size`.
 std::size_t packet_count(std::size_t payload_size, std::size_t packet_size);
 
@@ -51,7 +69,7 @@ std::vector<Bytes> split_payload(ByteSpan payload, std::size_t packet_size);
 
 class Encoder {
  public:
-  // m = raw packets, n = cooked packets; 1 <= m <= n <= 255.
+  // m = raw packets, n = cooked packets; 1 <= m <= n <= kMaxPackets.
   Encoder(std::size_t m, std::size_t n);
 
   [[nodiscard]] std::size_t m() const { return m_; }

@@ -22,8 +22,8 @@
 
 namespace mobiweb::proxy {
 
-// Matches the fleet engine's per-session receipt bitmap (4 x 64 bits): cooked
-// packet counts are capped at fleet::kMaxCookedPackets.
+// Matches the session walk's receipt bitmap (4 x 64 bits), which covers every
+// cooked index: a document has at most ida::kMaxPackets = 255 cooked packets.
 inline constexpr std::uint32_t kReconcileUnits = 256;
 
 // Fixed-width bitmap over cooked-packet indices [0, kReconcileUnits).

@@ -1,6 +1,5 @@
 #include "proxy/session.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -115,8 +114,7 @@ class ProxyResilientSession::Edge final : public transmit::EdgeHooks {
     ++px.reconciliations;
     PartialBitmap held;
     std::vector<CachedUnit> entries;
-    const auto n = static_cast<std::uint32_t>(
-        std::min<std::size_t>(doc_->transmitter.n(), kReconcileUnits));
+    const auto n = static_cast<std::uint32_t>(doc_->transmitter.n());
     for (std::uint32_t i = 0; i < n; ++i) {
       if (receiver_->has_packet(i)) {
         held.set(i);

@@ -1,5 +1,6 @@
 #include "sim/transfer.hpp"
 
+#include "ida/ida.hpp"
 #include "obs/profile.hpp"
 #include "sim/walk.hpp"
 #include "util/check.hpp"
@@ -9,6 +10,8 @@ namespace mobiweb::sim {
 void TransferConfig::validate() const {
   MOBIWEB_CHECK_MSG(m >= 1, "TransferConfig: m >= 1");
   MOBIWEB_CHECK_MSG(n >= m, "TransferConfig: n >= m");
+  MOBIWEB_CHECK_MSG(n <= static_cast<int>(ida::kMaxPackets),
+                    "TransferConfig: n <= 255 (one GF(2^8) dispersal group)");
   MOBIWEB_CHECK_MSG(max_rounds >= 1, "TransferConfig: max_rounds >= 1");
 }
 

@@ -39,7 +39,8 @@ struct TransferConfig {
   // (packets * time_per_packet + stalls * request_delay). nullptr = no-op.
   obs::SessionTrace* trace = nullptr;
 
-  // Throws ContractViolation unless 1 <= m <= n and max_rounds >= 1.
+  // Throws ContractViolation unless 1 <= m <= n <= ida::kMaxPackets and
+  // max_rounds >= 1.
   void validate() const;
 };
 

@@ -62,7 +62,6 @@ SessionWalk::SessionWalk(const std::vector<double>& clear_content,
   base.validate();
   MOBIWEB_CHECK_MSG(static_cast<int>(clear_content.size()) == base.m,
                     "SessionWalk: clear_content must have m entries");
-  if (n_ > 256) seen_heap_ = std::make_unique<std::uint64_t[]>((n_ + 63) / 64);
   if (retry != nullptr) {
     retry->validate();
     weak().retry = retry;
@@ -115,7 +114,7 @@ std::optional<double> SessionWalk::step() {
   // The frame loop runs on local copies of the per-frame state and writes
   // them back once it stops: the model and sink calls in the loop would
   // otherwise make the compiler reload and store every member per frame.
-  std::uint64_t* const seen = this->seen();
+  std::uint64_t* const seen = seen_;
   Weak* const weak = weak_.get();
   channel::OutageModel* const link = weak != nullptr ? weak->link.get() : nullptr;
   const std::function<bool()>* const corrupt = corrupt_;
@@ -235,7 +234,7 @@ void SessionWalk::charge(double delay) {
 }
 
 void SessionWalk::drop_cache() {
-  std::fill_n(seen(), (n_ + 63) / 64, std::uint64_t{0});
+  std::fill(std::begin(seen_), std::end(seen_), std::uint64_t{0});
   intact_ = 0;
   content_ = 0.0;
 }

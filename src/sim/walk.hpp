@@ -173,8 +173,6 @@ class SessionWalk {
   };
 
   Weak& weak();
-  // Receipt bitmap over the cooked set, inline up to 256 frames.
-  std::uint64_t* seen() { return seen_heap_ != nullptr ? seen_heap_.get() : seen_; }
   [[nodiscard]] bool has_edge() const { return weak_ != nullptr && weak_->edge != nullptr; }
   std::optional<double> end(bool TransferResult::*verdict);
   void charge(double delay);
@@ -217,8 +215,8 @@ class SessionWalk {
   int intact_ = 0;
   bool started_ = false;
   bool done_ = false;
+  // Receipt bitmap over the cooked set: n <= ida::kMaxPackets fits inline.
   std::uint64_t seen_[4] = {0, 0, 0, 0};
-  std::unique_ptr<std::uint64_t[]> seen_heap_;
   TransferResult result_;
 };
 

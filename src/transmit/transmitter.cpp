@@ -1,19 +1,8 @@
 #include "transmit/transmitter.hpp"
 
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace mobiweb::transmit {
-
-std::size_t cooked_count(std::size_t m, double gamma) {
-  MOBIWEB_CHECK_MSG(gamma >= 1.0, "cooked_count: gamma >= 1");
-  const double raw = std::ceil(gamma * static_cast<double>(m));
-  auto n = static_cast<std::size_t>(raw);
-  if (n < m) n = m;
-  if (n > 255) n = 255;
-  return n;
-}
 
 DocumentTransmitter::DocumentTransmitter(doc::LinearDocument document,
                                          TransmitterConfig config)
@@ -21,10 +10,10 @@ DocumentTransmitter::DocumentTransmitter(doc::LinearDocument document,
   MOBIWEB_CHECK_MSG(!document_.payload.empty(),
                     "DocumentTransmitter: empty document payload");
   m_ = ida::packet_count(document_.payload.size(), config_.packet_size);
-  MOBIWEB_CHECK_MSG(m_ <= 255,
+  MOBIWEB_CHECK_MSG(m_ <= ida::kMaxPackets,
                     "DocumentTransmitter: document too large for one dispersal "
                     "group (m > 255); increase packet_size");
-  n_ = cooked_count(m_, config_.gamma);
+  n_ = ida::cooked_count(m_, config_.gamma);
 
   ida::Encoder encoder(m_, n_);
   const auto cooked = encoder.encode_payload(ByteSpan(document_.payload),

@@ -1,7 +1,7 @@
 // Server side of fault-tolerant multi-resolution transmission (§4.2): the
 // prototype's "Document Transmitter". Takes a linearized (ranked) document,
-// cuts it into M raw packets, expands them to N = ⌈γ·M⌉ cooked packets with
-// the systematic IDA code, and frames each cooked packet for the wire.
+// cuts it into M raw packets, expands them to N = ida::cooked_count(M, γ)
+// cooked packets with the systematic IDA code, and frames each cooked packet for the wire.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +22,9 @@ struct TransmitterConfig {
 
 class DocumentTransmitter {
  public:
-  // The document payload must be non-empty and split into at most 255 raw
-  // packets (GF(2^8) limit); N is clamped to 255 as well.
+  // The document payload must be non-empty and split into at most
+  // ida::kMaxPackets raw packets; N = ida::cooked_count(M, γ) must fit the
+  // same bound. Otherwise throws ContractViolation.
   DocumentTransmitter(doc::LinearDocument document, TransmitterConfig config);
 
   [[nodiscard]] std::size_t m() const { return m_; }
@@ -45,8 +46,5 @@ class DocumentTransmitter {
   std::size_t n_ = 0;
   std::vector<Bytes> frames_;
 };
-
-// N from (M, γ): ⌈γ·M⌉ clamped into [M, 255].
-std::size_t cooked_count(std::size_t m, double gamma);
 
 }  // namespace mobiweb::transmit

@@ -20,6 +20,7 @@
 #include "channel/error_model.hpp"
 #include "channel/outage.hpp"
 #include "fleet/engine.hpp"
+#include "ida/ida.hpp"
 #include "sim/transfer.hpp"
 #include "transmit/receiver.hpp"
 #include "transmit/resilient.hpp"
@@ -306,7 +307,8 @@ TEST(FleetEngine, GammaMixKeysTheCachePerGamma) {
   EXPECT_EQ(r.cache_misses, 6);
   EXPECT_EQ(r.cache_hits, static_cast<long>(r.sessions));
   EXPECT_EQ(engine.cache().size(), 6u);
-  // gamma=1.0 means n == m (no redundancy); gamma=1.5 means n = ceil(1.5 m).
+  // gamma=1.0 means n == m (no redundancy); gamma=1.5 means
+  // n = ida::cooked_count(m, 1.5) > m.
   const auto lean = engine.cache().get({0, 1.0});
   const auto fat = engine.cache().get({0, 1.5});
   EXPECT_EQ(lean->transmitter.n(), lean->transmitter.m());
@@ -716,19 +718,19 @@ TEST(FleetEngine, PrefillLcmHoldsForLargerSharedFactors) {
 // ---- Bitmap bound on the cooked set ----
 
 TEST(DocumentCache, OversizedCookedSetIsRejectedAtBuildTime) {
-  // gamma = 7 requests ceil(7 * 40) = 280 packets — beyond the engine's
-  // 256-bit per-session bitmap. The transmitter would silently clamp that to
-  // the GF(256) encoder cap and serve less redundancy than configured; the
-  // cache rejects the spec at cook time instead.
+  // One dispersal group holds at most ida::kMaxPackets = 255 cooked packets.
+  // gamma = 7 and gamma = 6.4 request 280 and 256 packets of a 40-packet
+  // document: the transmitter rejects both at cook time rather than serving
+  // less redundancy than configured.
   fleet::CacheConfig cc;
   cc.corpus_size = 1;
   cc.seed = 3;
   fleet::DocumentCache cache(cc);
   EXPECT_THROW(cache.get({0, 7.0}), mw::ContractViolation);
-  // The boundary request passes: ceil(6.4 * 40) = 256 fits the bitmap (the
-  // encoder then delivers its own GF(256) maximum of 255 cooked packets).
-  const auto cooked = cache.get({0, 6.4});
-  EXPECT_EQ(cooked->transmitter.n(), fleet::kMaxCookedPackets - 1);
+  EXPECT_THROW(cache.get({0, 6.4}), mw::ContractViolation);
+  // The boundary request passes: 6.375 * 40 = 255.
+  const auto cooked = cache.get({0, 6.375});
+  EXPECT_EQ(cooked->transmitter.n(), mw::ida::kMaxPackets);
 }
 
 TEST(FleetEngine, OversizedGammaSurfacesFromRun) {

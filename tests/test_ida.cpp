@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -90,6 +91,48 @@ TEST(Split, PacketCount) {
   EXPECT_EQ(ida::packet_count(10240, 256), 40u);
   EXPECT_EQ(ida::packet_count(10241, 256), 41u);
   EXPECT_EQ(ida::packet_count(1, 256), 1u);
+}
+
+// ida::cooked_count is the one N(gamma, M). On the decimal grid the paper's
+// gammas live on, it equals the exact rational ceiling ⌈k·m / 10⌉, whether
+// gamma is written k / 10 or reached by stepping 0.1 the way bench_fig4 does.
+TEST(CookedCount, DecimalGridMatchesExactRationalCeiling) {
+  double stepped = 1.0;
+  for (std::size_t k = 10; k <= 40; ++k, stepped += 0.1) {
+    for (std::size_t m = 1; m <= ida::kMaxPackets; ++m) {
+      const std::size_t exact = (k * m + 9) / 10;
+      for (const double gamma : {static_cast<double>(k) / 10.0, stepped}) {
+        if (exact > ida::kMaxPackets) {
+          EXPECT_THROW(ida::cooked_count(m, gamma), ContractViolation);
+        } else {
+          EXPECT_EQ(ida::cooked_count(m, gamma), exact) << "k=" << k << " m=" << m;
+        }
+      }
+    }
+  }
+}
+
+// gamma = n / m, as the adaptive controller and the fleet configs write it,
+// cooks exactly n packets for every valid shape.
+TEST(CookedCount, RoundTripsEveryRatio) {
+  for (std::size_t m = 1; m <= ida::kMaxPackets; ++m) {
+    for (std::size_t n = m; n <= ida::kMaxPackets; ++n) {
+      ASSERT_EQ(ida::cooked_count(m, static_cast<double>(n) / static_cast<double>(m)), n)
+          << "m=" << m << " n=" << n;
+    }
+  }
+}
+
+TEST(CookedCount, RejectsWhatNoDispersalGroupHolds) {
+  EXPECT_THROW(ida::cooked_count(40, std::numeric_limits<double>::quiet_NaN()),
+               ContractViolation);
+  EXPECT_THROW(ida::cooked_count(40, std::numeric_limits<double>::infinity()),
+               ContractViolation);
+  EXPECT_THROW(ida::cooked_count(40, 0.999), ContractViolation);
+  EXPECT_THROW(ida::cooked_count(128, 2.0), ContractViolation);  // N = 256
+  EXPECT_THROW(ida::cooked_count(0, 1.5), ContractViolation);
+  EXPECT_THROW(ida::cooked_count(ida::kMaxPackets + 1, 1.0), ContractViolation);
+  EXPECT_EQ(ida::cooked_count(ida::kMaxPackets, 1.0), ida::kMaxPackets);
 }
 
 TEST(Encoder, SystematicPrefixEqualsRaw) {

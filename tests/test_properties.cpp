@@ -227,7 +227,7 @@ TEST_P(SimMonotonicity, CachingNeverSlowerOnAverage) {
   const auto [alpha, gamma] = GetParam();
   sim::TransferConfig cfg;
   cfg.m = 40;
-  cfg.n = static_cast<int>(40 * gamma);
+  cfg.n = static_cast<int>(ida::cooked_count(40, gamma));
   cfg.alpha = alpha;
   const std::vector<double> content(40, 1.0 / 40);
   Rng rng_a(42);
@@ -247,7 +247,7 @@ TEST_P(SimMonotonicity, AbortNeverSlowerThanFullDownload) {
   const auto [alpha, gamma] = GetParam();
   sim::TransferConfig cfg;
   cfg.m = 40;
-  cfg.n = static_cast<int>(40 * gamma);
+  cfg.n = static_cast<int>(ida::cooked_count(40, gamma));
   cfg.alpha = alpha;
   cfg.caching = true;
   const std::vector<double> content(40, 1.0 / 40);
