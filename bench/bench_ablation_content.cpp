@@ -59,7 +59,8 @@ std::size_t bytes_to_threshold(std::vector<RankedUnit> units, bool ranked,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {});
   bench::print_header(
       "Ablation — content definitions: document order / length / IC / TF-IDF",
       "Clean channel; bytes transmitted before the accumulated reference\n"

@@ -4,17 +4,20 @@
 // regenerates, (b) an aligned ASCII table, and (c) a CSV block for plotting.
 // Set MOBIWEB_FAST=1 to cut repetitions (quick smoke runs); default settings
 // match the paper (50 repetitions x 200 documents).
-// Every bench also accepts --json[=PATH] (see json_request): a self-timed
+// Some benches also accept --json[=PATH] (see json_request): a self-timed
 // machine-readable run printing one JSON object to stdout (and PATH when
-// given), following bench_micro_coding's convention.
+// given), following bench_micro_coding's convention. Each bench declares its
+// flags through check_flags; anything else exits 2.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -61,6 +64,26 @@ inline std::optional<std::string> flag_request(int argc, char** argv,
     }
   }
   return std::nullopt;
+}
+
+// Exits 2, printing the declared flags, unless every argument is --NAME or
+// --NAME=VALUE for a NAME (without the dashes) in `declared`. Every harness
+// calls it first, so a mistyped flag (--dutty=0.2) or a stray bare argument
+// fails instead of silently running the default configuration.
+inline void check_flags(int argc, char** argv,
+                        std::initializer_list<const char*> declared) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::string_view name =
+        arg.substr(0, 2) == "--" ? arg.substr(2, arg.find('=') - 2) : "";
+    bool known = false;
+    for (const char* d : declared) known = known || name == d;
+    if (known) continue;
+    std::fprintf(stderr, "bench: unknown argument '%s'; flags:", argv[i]);
+    for (const char* d : declared) std::fprintf(stderr, " --%s", d);
+    std::fprintf(stderr, "%s\n", declared.size() == 0 ? " (none)" : "");
+    std::exit(2);
+  }
 }
 
 // Scans argv for --json or --json=PATH. Returns nullopt when absent, the

@@ -93,6 +93,7 @@ int run_json_mode(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {"json"});
   if (const auto path = bench::json_request(argc, argv)) {
     return run_json_mode(*path);
   }

@@ -8,7 +8,8 @@ using mobiweb::TextTable;
 namespace analysis = mobiweb::analysis;
 namespace bench = mobiweb::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {});
   bench::print_header(
       "Figure 3 — redundancy ratio gamma = N/M vs failure probability alpha",
       "Expected shape: gamma grows from ~1.2 at alpha=0.1 to ~2.3-3 at\n"

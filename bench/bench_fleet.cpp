@@ -152,6 +152,11 @@ int emit_json(int argc, char** argv, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv,
+                     {"alpha", "arrival", "bucket", "corpus", "delay", "down",
+                      "duty", "gamma", "json", "million", "sessions", "shards",
+                      "slo-tolerance", "spread", "timeline", "trace-top",
+                      "zipf"});
   if (const auto path = bench::flag_request(argc, argv, "timeline")) {
     return emit_timeline(argc, argv, *path);
   }

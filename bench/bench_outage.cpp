@@ -243,6 +243,7 @@ std::string cell_json(const char* variant, double duty, const Cell& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {"duty", "feedback-loss", "json", "trace"});
   const std::vector<double> duties =
       bench::arg_double_list(argc, argv, "duty", {0.0, 0.2, 0.4});
   const double feedback_loss =

@@ -214,6 +214,12 @@ int emit_json(int argc, char** argv, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv,
+                     {"age", "alpha", "bucket", "corpus", "delay", "down",
+                      "duty", "fetch-delay", "gamma", "handoff", "json",
+                      "origin-down", "origin-duty", "proxies", "sessions",
+                      "shards", "slo-tolerance", "spread", "timeline",
+                      "trace-top", "update", "warm"});
   if (const auto path = bench::flag_request(argc, argv, "timeline")) {
     return emit_timeline(argc, argv, *path);
   }

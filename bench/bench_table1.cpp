@@ -16,7 +16,8 @@ namespace doc = mobiweb::doc;
 namespace bench = mobiweb::bench;
 using mobiweb::TextTable;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {});
   bench::print_header(
       "Table 1 — IC / QIC / MQIC per organizational unit",
       "Query Q = {browsing, mobile, web}. Expect: additive rule per column,\n"
