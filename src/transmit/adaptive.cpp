@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "analysis/negbinom.hpp"
+#include "ida/ida.hpp"
 #include "util/check.hpp"
 
 namespace mobiweb::transmit {
@@ -31,14 +32,17 @@ void AdaptiveGamma::observe(double corruption_rate) {
 }
 
 double AdaptiveGamma::gamma(int m) const {
-  MOBIWEB_CHECK_MSG(m >= 1, "AdaptiveGamma::gamma: m >= 1");
-  if (!estimate_.initialized()) return config_.initial_gamma;
+  MOBIWEB_CHECK_MSG(m >= 1 && m <= static_cast<int>(ida::kMaxPackets),
+                    "AdaptiveGamma::gamma: m in [1, 255]");
+  const double max_gamma = std::min(
+      config_.max_gamma, static_cast<double>(ida::kMaxPackets) / static_cast<double>(m));
+  if (!estimate_.initialized()) return std::min(config_.initial_gamma, max_gamma);
   const double alpha = std::clamp(estimate_.value(), 0.0, 0.99);
   const double g = analysis::redundancy_ratio(m, alpha, config_.target_success);
   // A non-finite ratio (numerically degenerate alpha) must still yield a
   // usable redundancy: assume the worst and send the maximum.
-  if (!std::isfinite(g)) return config_.max_gamma;
-  return std::clamp(g, 1.0, config_.max_gamma);
+  if (!std::isfinite(g)) return max_gamma;
+  return std::clamp(g, 1.0, max_gamma);
 }
 
 }  // namespace mobiweb::transmit

@@ -29,7 +29,9 @@ class AdaptiveGamma {
   // into [0, 0.99] before feeding the EWMA.
   void observe(double corruption_rate);
 
-  // γ to use for the next document of `m` raw packets.
+  // γ to use for the next document of `m` raw packets, 1 <= m <= 255. Never
+  // above max_gamma, nor above 255 / m: ida::cooked_count(m, γ) always fits
+  // one dispersal group.
   [[nodiscard]] double gamma(int m) const;
 
   [[nodiscard]] double estimated_alpha() const { return estimate_.value_or(-1.0); }
