@@ -165,7 +165,10 @@ class JsonReport {
   explicit JsonReport(std::string bench_name) : bench_(std::move(bench_name)) {}
 
   void meta(const std::string& key, const std::string& value) {
-    meta_.emplace_back(key, "\"" + obs::json_escape(value) + "\"");
+    std::string quoted = "\"";
+    quoted += obs::json_escape(value);
+    quoted += '"';
+    meta_.emplace_back(key, std::move(quoted));
   }
   void meta(const std::string& key, double value) {
     meta_.emplace_back(key, number(value));

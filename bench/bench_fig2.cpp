@@ -44,7 +44,9 @@ std::string panel_json(double success) {
   std::string json = "{";
   for (int m = 10; m <= 100; m += 10) {
     if (m > 10) json += ", ";
-    json += "\"" + std::to_string(m) + "\": [";
+    json += '"';
+    json += std::to_string(m);
+    json += "\": [";
     bool first = true;
     for (const double alpha : kAlphas) {
       if (!first) json += ", ";

@@ -38,7 +38,22 @@ bool MarkovOutageModel::link_up(double time, Rng& rng) {
   if (next_transition_ < 0.0) {
     next_transition_ = time + draw_dwell(up_ ? mean_up_s_ : mean_down_s_);
   }
-  while (time >= next_transition_) {
+  constexpr int kMaxFlipsPerQuery = 1024;
+  for (int flips = 0; time >= next_transition_; ++flips) {
+    if (flips == kMaxFlipsPerQuery) {
+      // Too many dwells to walk (a tiny mean, a huge gap, or dwells below the
+      // clock's resolution): draw the state at `time` from the chain's exact
+      // transition law given the state entered at the pending transition,
+      // then a fresh dwell, strictly after `time` so repeated queries agree.
+      const double pi_up = mean_up_s_ / (mean_up_s_ + mean_down_s_);
+      const double decay = std::exp(-(time - next_transition_) *
+                                    (1.0 / mean_up_s_ + 1.0 / mean_down_s_));
+      const double p_up = up_ ? pi_up * (1.0 - decay) : pi_up + (1.0 - pi_up) * decay;
+      up_ = rng.next_double() < p_up;
+      next_transition_ = std::max(time + draw_dwell(up_ ? mean_up_s_ : mean_down_s_),
+                                  std::nextafter(time, HUGE_VAL));
+      break;
+    }
     up_ = !up_;
     next_transition_ += draw_dwell(up_ ? mean_up_s_ : mean_down_s_);
   }

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "ida/ida.hpp"
 #include "obs/profile.hpp"
 #include "sim/walk.hpp"
 #include "util/check.hpp"
@@ -143,12 +144,19 @@ std::uint32_t session_proxy_assignment(std::uint64_t fleet_seed,
 FleetEngine::FleetEngine(FleetConfig config)
     : config_(std::move(config)), cache_(config_.corpus) {
   MOBIWEB_CHECK_MSG(!config_.gammas.empty(), "FleetEngine: no gammas");
+  // Every corpus document has the same m, so each (document, γ) the cache
+  // would build mid-run is checked against one dispersal group here.
+  const std::size_t m =
+      ida::packet_count(config_.corpus.doc.doc_size, config_.corpus.doc.packet_size);
+  for (const double gamma : config_.gammas) ida::cooked_count(m, gamma);
   MOBIWEB_CHECK_MSG(config_.alpha >= 0.0 && config_.alpha < 1.0,
                     "FleetEngine: alpha in [0,1)");
   MOBIWEB_CHECK_MSG(config_.bandwidth_bps > 0.0, "FleetEngine: bandwidth > 0");
   MOBIWEB_CHECK_MSG(config_.zipf_s >= 0.0, "FleetEngine: zipf_s >= 0");
   MOBIWEB_CHECK_MSG(config_.arrival_rate_hz >= 0.0,
                     "FleetEngine: arrival_rate_hz >= 0");
+  MOBIWEB_CHECK_MSG(std::isfinite(config_.arrival_spread_s) && config_.arrival_spread_s >= 0.0,
+                    "FleetEngine: arrival_spread_s finite and >= 0");
   round_config(config_).validate();
   if (config_.outage != nullptr || config_.proxy.has_value()) config_.retry.validate();
   if (config_.proxy.has_value()) config_.proxy->model.validate();

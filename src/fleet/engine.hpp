@@ -117,7 +117,7 @@ struct FleetConfig {
   double bandwidth_bps = 19200.0;    // per-client link rate
   double request_delay = 1.0;        // seconds per stalled-round request
   int max_rounds = 25;
-  double arrival_spread_s = 0.0;     // session starts staggered over [0, spread)
+  double arrival_spread_s = 0.0;     // session starts staggered over [0, spread); finite
   bool record_outcomes = false;      // keep per-session results (tests; O(sessions) memory)
 
   // Weak connectivity: prototype outage model cloned per session (see the

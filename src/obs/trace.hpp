@@ -8,9 +8,9 @@
 // full per-frame event log is opt-in via capture_events(true) because a
 // 25-round lossy session emits thousands of events.
 //
-// Producers (TransferSession, ArqSession, broadcast::listen_for,
-// sim::simulate_transfer) hold a `SessionTrace*` that defaults to nullptr —
-// the no-op sink. aggregate_trace() folds a finished trace into the standard
+// Producers (transmit::RoundDriver behind every real-stack session,
+// broadcast::listen_for, sim::SessionWalk behind every analytic oracle) hold
+// a `SessionTrace*` that defaults to nullptr — the no-op sink. aggregate_trace() folds a finished trace into the standard
 // histograms of a MetricsRegistry so experiment runners can build
 // per-condition distributions; Collector bundles a registry with the traces
 // it aggregated and exports both as one JSON document.

@@ -1,5 +1,7 @@
 #include "sim/proxied.hpp"
 
+#include <cmath>
+
 #include "obs/profile.hpp"
 #include "sim/walk.hpp"
 #include "util/check.hpp"
@@ -8,21 +10,23 @@ namespace mobiweb::sim {
 
 std::uint64_t generation_at(double time, double update_interval_s) {
   if (update_interval_s <= 0.0 || time <= 0.0) return 0;
-  return static_cast<std::uint64_t>(time / update_interval_s);
+  const double generation = time / update_interval_s;
+  return generation < 0x1p64 ? static_cast<std::uint64_t>(generation) : ~std::uint64_t{0};
 }
 
 void ProxyModelConfig::validate() const {
   MOBIWEB_CHECK_MSG(warm_hit >= 0.0 && warm_hit <= 1.0,
                     "ProxyModelConfig: warm_hit in [0,1]");
-  MOBIWEB_CHECK_MSG(replica_age_mean_s >= 0.0,
-                    "ProxyModelConfig: replica_age_mean_s >= 0");
-  MOBIWEB_CHECK_MSG(origin_fetch_delay_s >= 0.0,
-                    "ProxyModelConfig: origin_fetch_delay_s >= 0");
+  MOBIWEB_CHECK_MSG(std::isfinite(replica_age_mean_s) && replica_age_mean_s >= 0.0,
+                    "ProxyModelConfig: replica_age_mean_s finite and >= 0");
+  MOBIWEB_CHECK_MSG(std::isfinite(origin_fetch_delay_s) && origin_fetch_delay_s >= 0.0,
+                    "ProxyModelConfig: origin_fetch_delay_s finite and >= 0");
   MOBIWEB_CHECK_MSG(handoff_rate >= 0.0 && handoff_rate < 1.0,
                     "ProxyModelConfig: handoff_rate in [0,1)");
-  MOBIWEB_CHECK_MSG(handoff_delay_s >= 0.0, "ProxyModelConfig: handoff_delay_s >= 0");
-  MOBIWEB_CHECK_MSG(update_interval_s >= 0.0,
-                    "ProxyModelConfig: update_interval_s >= 0");
+  MOBIWEB_CHECK_MSG(std::isfinite(handoff_delay_s) && handoff_delay_s >= 0.0,
+                    "ProxyModelConfig: handoff_delay_s finite and >= 0");
+  MOBIWEB_CHECK_MSG(std::isfinite(update_interval_s) && update_interval_s >= 0.0,
+                    "ProxyModelConfig: update_interval_s finite and >= 0");
   MOBIWEB_CHECK_MSG(proxies >= 1, "ProxyModelConfig: proxies >= 1");
 }
 

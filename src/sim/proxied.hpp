@@ -58,8 +58,8 @@ struct ProxyModelConfig {
   std::uint32_t proxies = 4;
 
   // Throws ContractViolation on a probability outside its range
-  // (handoff_rate must stay < 1), a negative delay/mean/interval, or an
-  // empty proxy pool.
+  // (handoff_rate must stay < 1), a negative or non-finite
+  // delay/mean/interval, or an empty proxy pool.
   void validate() const;
 };
 
@@ -104,6 +104,7 @@ struct ProxiedTransferResult {
 
 // Origin generation as of session time `time`: one bump per update interval.
 // Pure and monotone in `time`, so it is deterministic and shard-invariant.
+// Past 2^64 intervals (or at a NaN time) it is the last representable one.
 std::uint64_t generation_at(double time, double update_interval_s);
 
 // `clear_content[i]` = information content of clear-text packet i (size m).

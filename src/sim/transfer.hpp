@@ -4,7 +4,7 @@
 // but replaces real encoding/CRC with Bernoulli corruption draws, so millions
 // of document transfers run in seconds. The SimVsReal.* tests in
 // tests/test_integration.cpp check the two paths agree on identical
-// corruption patterns. Every oracle here except ARQ runs one sim::SessionWalk
+// corruption patterns. Every oracle here runs one sim::SessionWalk
 // (sim/walk.hpp) to its end.
 #pragma once
 
@@ -39,8 +39,8 @@ struct TransferConfig {
   // (packets * time_per_packet + stalls * request_delay). nullptr = no-op.
   obs::SessionTrace* trace = nullptr;
 
-  // Throws ContractViolation unless 1 <= m <= n <= ida::kMaxPackets and
-  // max_rounds >= 1.
+  // Throws ContractViolation unless 1 <= m <= n <= ida::kMaxPackets,
+  // max_rounds >= 1 and request_delay is finite and >= 0.
   void validate() const;
 };
 
@@ -60,7 +60,8 @@ struct RetryConfig {
   double deadline_s = -1.0;          // wall budget per session; < 0 = none
 
   // Throws ContractViolation on a budget < 1, a negative timeout or jitter,
-  // a multiplier < 1, or a ceiling below the initial timeout.
+  // a multiplier < 1, a ceiling below the initial timeout, a non-finite
+  // multiplier, ceiling or jitter, or a NaN deadline.
   void validate() const;
 };
 
@@ -122,9 +123,9 @@ TransferResult simulate_resilient_transfer(
 
 // Selective-repeat ARQ baseline (no erasure coding): round 1 sends the m raw
 // packets, every later round resends exactly the still-missing ones, each
-// extra round charging `request_delay` of feedback latency. Mirrors
-// transmit::ArqSession; `n` and `caching` in the config are ignored (ARQ is
-// inherently caching and carries no redundancy).
+// extra round charging `request_delay` of feedback latency: the walk in its
+// resend-missing-only mode, mirroring transmit::ArqSession. `n` and `caching`
+// are ignored (ARQ is inherently caching and carries no redundancy).
 TransferResult simulate_arq_transfer(const std::vector<double>& clear_content,
                                      const TransferConfig& config, Rng& rng);
 TransferResult simulate_arq_transfer(const std::vector<double>& clear_content,

@@ -125,6 +125,7 @@ std::optional<double> SessionWalk::step() {
   const double tpp = time_per_packet_;
   const double alpha = alpha_;
   const double threshold = relevance_threshold_;
+  const bool skip_held = resend_missing_only_;
   Rng rng = rng_;
   double clock = clock_;
   double t = t_;
@@ -140,6 +141,8 @@ std::optional<double> SessionWalk::step() {
     intact_ = intact;
   };
   for (int i = 0; i < n; ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+    if (skip_held && (seen[i >> 6] & bit) != 0) continue;
     ++packets;
     clock += tpp;
     t += tpp;
@@ -151,7 +154,6 @@ std::optional<double> SessionWalk::step() {
       continue;
     }
     const bool corrupted = corrupt == nullptr ? rng.next_bernoulli(alpha) : (*corrupt)();
-    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
     FrameFate fate = FrameFate::kCorrupted;
     if (!corrupted) {
       fate = FrameFate::kDuplicate;
@@ -209,7 +211,9 @@ std::optional<double> SessionWalk::step() {
     }
     weak_->backoff = weak_->retry->initial_timeout_s;
   }
-  if (sink_ != nullptr && sink_->trace != nullptr) sink_->trace->retransmit_request(clock_);
+  if (sink_ != nullptr && sink_->trace != nullptr) {
+    sink_->trace->retransmit_request(clock_, resend_missing_only_ ? m_ - intact_ : -1);
+  }
   charge(static_cast<double>(tries) * request_delay_);
   if (!caching_) drop_cache();
   return clock_;

@@ -9,8 +9,8 @@
 // ProxyModelConfig, the edge tier described in sim/proxied.hpp.
 //
 // The oracles (simulate_transfer, simulate_resilient_transfer,
-// simulate_proxied_transfer) run one walk to its end; fleet::FleetEngine
-// keeps a heap of walks and steps whichever is due. Walks share no state, so
+// simulate_proxied_transfer, simulate_arq_transfer) run one walk to its end;
+// fleet::FleetEngine keeps a heap of walks and steps whichever is due. Walks share no state, so
 // any interleaving of steps gives each walk the result it gets alone.
 //
 // Two clocks get the same additions in the same order: clock() is absolute
@@ -132,6 +132,10 @@ class SessionWalk {
   void feedback_with(std::function<bool()>&&) = delete;  // would dangle
   void seed_streams(std::uint64_t jitter_seed, std::uint64_t proxy_seed);
   void start_at(double start) { start_ = clock_ = start; }
+  // Selective-repeat ARQ: a round skips every frame already held (no airtime,
+  // link query, draw or report), i.e. the NACK list of the round before, and
+  // each request traces the count still missing. Set before the first step.
+  void resend_missing_only() { resend_missing_only_ = true; }
   void report_to(WalkSink* sink) { sink_ = sink; }
 
   // One round plus its stalled-round tail. Returns the absolute time of the
@@ -195,6 +199,7 @@ class SessionWalk {
   int n_;
   int max_rounds_;
   bool caching_;
+  bool resend_missing_only_ = false;
   double relevance_threshold_;
   double time_per_packet_;
   double request_delay_;

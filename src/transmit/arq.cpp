@@ -1,7 +1,6 @@
 #include "transmit/arq.hpp"
 
-#include <vector>
-
+#include "transmit/round_driver.hpp"
 #include "util/check.hpp"
 
 namespace mobiweb::transmit {
@@ -17,89 +16,14 @@ ArqSession::ArqSession(const DocumentTransmitter& transmitter,
 }
 
 SessionResult ArqSession::run() {
-  SessionResult result;
-  const double start = channel_->now();
-  // As in TransferSession: the user waits for the terminating frame to
-  // *arrive*, so propagation delay counts towards the response time.
-  double last_arrival = start;
-  const bool relevance_check = config_.relevance_threshold >= 0.0;
-  const std::size_t m = transmitter_->m();
-  obs::SessionTrace* trace = config_.trace;
-  if (trace != nullptr) {
-    receiver_->set_trace(trace);
-    trace->session_start(start);
-  }
-
-  // Sequence numbers still outstanding; round 1 sends everything.
-  std::vector<std::size_t> pending(m);
-  for (std::size_t i = 0; i < m; ++i) pending[i] = i;
-
-  for (int round = 1; round <= config_.max_rounds; ++round) {
-    result.rounds = round;
-    if (trace != nullptr) trace->round_start(round, channel_->now());
-    for (const std::size_t seq : pending) {
-      const auto delivery = channel_->send(ByteSpan(transmitter_->frame(seq)));
-      ++result.frames_sent;
-      if (trace != nullptr) {
-        trace->frame_sent(static_cast<long>(seq), delivery.arrive_time);
-      }
-      if (delivery.lost) {
-        // Swallowed by a link outage; nothing reached the client.
-        if (trace != nullptr) trace->frame_lost(delivery.arrive_time);
-        continue;
-      }
-      last_arrival = delivery.arrive_time;
-      receiver_->on_frame(ByteSpan(delivery.frame), delivery.arrive_time);
-      // Completion wins over the relevance abort when both trip on the same
-      // frame (with gamma = 1 the last missing packet does exactly that).
-      if (receiver_->complete()) {
-        result.status = SessionStatus::kCompleted;
-        result.completed = true;
-        result.content_received = receiver_->content_received();
-        result.response_time = last_arrival - start;
-        if (trace != nullptr) {
-          trace->decode_complete(last_arrival);
-          trace->session_end(last_arrival, result.content_received);
-        }
-        return result;
-      }
-      if (relevance_check &&
-          receiver_->content_received() >= config_.relevance_threshold) {
-        result.status = SessionStatus::kAbortedIrrelevant;
-        result.aborted_irrelevant = true;
-        result.content_received = receiver_->content_received();
-        result.response_time = last_arrival - start;
-        if (trace != nullptr) {
-          trace->abort_irrelevant(last_arrival, result.content_received);
-          trace->session_end(last_arrival, result.content_received);
-        }
-        return result;
-      }
-    }
-    if (trace != nullptr) trace->round_end(channel_->now());
-    if (round == config_.max_rounds) break;  // giving up: no further NACK
-    // Collect the NACK list for the next round.
-    std::vector<std::size_t> missing;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!receiver_->has_packet(i)) missing.push_back(i);
-    }
-    MOBIWEB_CHECK_MSG(!missing.empty(), "ArqSession: incomplete but nothing missing");
-    if (trace != nullptr) {
-      trace->retransmit_request(channel_->now(),
-                                static_cast<long>(missing.size()));
-    }
-    pending = std::move(missing);
-    if (config_.feedback_delay_s > 0.0) channel_->advance(config_.feedback_delay_s);
-  }
-
-  result.status = SessionStatus::kGaveUp;
-  result.content_received = receiver_->content_received();
-  result.response_time = last_arrival - start;
-  if (trace != nullptr) {
-    trace->give_up(last_arrival);
-    trace->session_end(last_arrival, result.content_received);
-  }
-  return result;
+  RoundDriver driver(*channel_, {.relevance_threshold = config_.relevance_threshold,
+                                 .max_rounds = config_.max_rounds,
+                                 .request_delay_s = config_.feedback_delay_s,
+                                 .selective_repeat = true,
+                                 .trace = config_.trace});
+  driver.serve(*transmitter_);
+  driver.bind(*receiver_);
+  return driver.run().session;
 }
 
 }  // namespace mobiweb::transmit

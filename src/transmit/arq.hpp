@@ -8,6 +8,8 @@
 // minimal, but every recovery round costs one feedback round trip, and the
 // scheme fundamentally requires a back channel — the trade-off the ablation
 // bench (bench_ablation_arq) quantifies against IDA redundancy.
+// ArqSession is transmit::RoundDriver with selective repeat on; its analytic
+// mirror is sim::simulate_arq_transfer.
 #pragma once
 
 #include "channel/channel.hpp"

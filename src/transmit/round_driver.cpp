@@ -30,6 +30,7 @@ ResilientResult RoundDriver::run() {
     if (trace != nullptr) trace->round_start(round, channel_->now());
     const DocumentTransmitter& tx = *transmitter_;  // hooks swap it between rounds
     for (std::size_t i = 0; i < tx.n(); ++i) {
+      if (config_.selective_repeat && receiver_->has_packet(i)) continue;
       channel::WirelessChannel::Delivery d = channel_->send(ByteSpan(tx.frame(i)));
       ++result.frames_sent;
       if (trace != nullptr) trace->frame_sent(static_cast<long>(i), d.arrive_time);
@@ -53,7 +54,7 @@ ResilientResult RoundDriver::run() {
     // Condition 2 without reconstruction: a stalled round.
     if (trace != nullptr) trace->round_end(channel_->now());
     if (round == config_.max_rounds) break;  // giving up: no further request
-    receiver_->on_round_end();
+    if (!config_.selective_repeat) receiver_->on_round_end();
     if (!request_next_round()) return finish(SessionStatus::kDegraded);
   }
   // Gave up after max_rounds. The receiver is reported as it stood when the
@@ -92,7 +93,13 @@ bool RoundDriver::request_next_round() {
   obs::SessionTrace* trace = config_.trace;
   if (config_.retry == nullptr) {
     if (config_.request_delay_s > 0.0) channel_->advance(config_.request_delay_s);
-    if (trace != nullptr) trace->retransmit_request(channel_->now());
+    if (trace != nullptr) {
+      const long missing =
+          config_.selective_repeat
+              ? static_cast<long>(transmitter_->m() - receiver_->intact_count())
+              : -1;
+      trace->retransmit_request(channel_->now(), missing);
+    }
     return true;
   }
 

@@ -1,10 +1,10 @@
 // The one round body of the real frame/CRC stack: the paper's transfer
-// protocol (§4.2, see session.hpp) for TransferSession, ResilientSession and
-// proxy::ProxyResilientSession. Frames go through the channel to the
-// receiver, whose CRC and decoder decide them. A stalled round's tail is
-// plain (request_delay_s) or, given a retry policy, resilient: suspend while
-// the link is down, then re-request until one request is delivered. Like
-// sim::SessionWalk's, the tail branches on whether there is a retry policy.
+// protocol (§4.2, see session.hpp) for TransferSession, ResilientSession,
+// ArqSession (selective repeat) and proxy::ProxyResilientSession. Frames go
+// through the channel to the receiver, whose CRC and decoder decide them. A
+// stalled round's tail is plain (request_delay_s) or, given a retry policy,
+// resilient: suspend while the link is down, then re-request until one
+// request is delivered. Like sim::SessionWalk's, it branches on the policy.
 // Internal: include it only to implement a session.
 #pragma once
 
@@ -38,6 +38,9 @@ struct RoundConfig {
   int max_rounds = 1000;
   // Plain tail: channel time one re-request costs.
   double request_delay_s = 0.0;
+  // Selective repeat (ArqSession): send only the frames the client lacks, keep
+  // its cache across rounds, and trace each request with the count missing.
+  bool selective_repeat = false;
   // Resilient tail when set, with its client-side jitter stream (required
   // then). There a delivered request costs the channel's feedback_delay_s
   // instead of request_delay_s.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "channel/channel.hpp"
 #include "doc/content.hpp"
@@ -48,6 +49,15 @@ struct Rig {
            lin.segments),
         ch({.seed = seed}, std::make_unique<channel::IidErrorModel>(alpha)) {}
 };
+
+// The missing count each retransmit request of `trace` carries.
+std::vector<double> nack_sizes(const mobiweb::obs::SessionTrace& trace) {
+  std::vector<double> out;
+  for (const auto& e : trace.events()) {
+    if (e.type == mobiweb::obs::Event::kRetransmitRequest) out.push_back(e.value);
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -218,15 +228,37 @@ TEST(ArqSim, ScriptedPattern) {
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.packets, 7);
   EXPECT_EQ(r.rounds, 3);
+  EXPECT_EQ(r.content, 1.0);
+  EXPECT_EQ(r.time, 7 * cfg.time_per_packet);
+}
+
+TEST(ArqSim, RejectsMoreThanOneDispersalGroup) {
+  sim::TransferConfig cfg;
+  cfg.m = 256;
+  cfg.n = 256;
+  Rng rng(92);
+  const std::vector<double> content(256, 1.0 / 256);
+  EXPECT_THROW(sim::simulate_arq_transfer(content, cfg, rng), ContractViolation);
 }
 
 TEST(ArqSimVsReal, IdenticalDecisions) {
+  struct Case {
+    std::uint64_t seed;
+    double alpha;
+    double threshold;
+    int max_rounds;
+  };
+  std::vector<Case> cases;
+  for (std::uint64_t seed = 1; seed <= 15; ++seed) cases.push_back({seed, 0.3, -1.0, 1000});
+  cases.push_back({16, 0.3, 0.5, 1000});  // the relevance abort trips mid-transfer
+  cases.push_back({17, 0.5, -1.0, 2});    // the round cap is reached
   const auto lin = make_linear();
-  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+  for (const Case& c : cases) {
+    const std::uint64_t seed = c.seed;
     // Pre-draw one corruption pattern; replay into both stacks.
     Rng pattern_rng(seed * 131);
     std::vector<bool> pattern(4096);
-    for (auto&& b : pattern) b = pattern_rng.next_bernoulli(0.3);
+    for (auto&& b : pattern) b = pattern_rng.next_bernoulli(c.alpha);
 
     // Real.
     class Scripted final : public channel::ErrorModel {
@@ -249,7 +281,12 @@ TEST(ArqSimVsReal, IdenticalDecisions) {
                                  .caching = true},
                                 lin.segments);
     channel::WirelessChannel ch({}, std::make_unique<Scripted>(pattern));
-    transmit::ArqSession session(tx, rx, ch);
+    mobiweb::obs::SessionTrace real_trace;
+    real_trace.capture_events(true);
+    transmit::ArqSession session(tx, rx, ch,
+                                 {.relevance_threshold = c.threshold,
+                                  .max_rounds = c.max_rounds,
+                                  .trace = &real_trace});
     const auto real = session.run();
 
     // Sim.
@@ -262,7 +299,11 @@ TEST(ArqSimVsReal, IdenticalDecisions) {
     sim::TransferConfig cfg;
     cfg.m = static_cast<int>(tx.m());
     cfg.n = cfg.m;
-    cfg.max_rounds = 1000;
+    cfg.relevance_threshold = c.threshold;
+    cfg.max_rounds = c.max_rounds;
+    mobiweb::obs::SessionTrace sim_trace;
+    sim_trace.capture_events(true);
+    cfg.trace = &sim_trace;
     std::size_t pos = 0;
     const auto simulated = sim::simulate_arq_transfer(
         content, cfg, [&] { return pattern[pos++ % pattern.size()]; });
@@ -270,5 +311,14 @@ TEST(ArqSimVsReal, IdenticalDecisions) {
     EXPECT_EQ(real.frames_sent, simulated.packets) << seed;
     EXPECT_EQ(real.rounds, simulated.rounds) << seed;
     EXPECT_EQ(real.completed, simulated.completed) << seed;
+    EXPECT_EQ(real.aborted_irrelevant, simulated.aborted_irrelevant) << seed;
+    EXPECT_EQ(real.status == transmit::SessionStatus::kGaveUp, simulated.gave_up) << seed;
+    EXPECT_EQ(nack_sizes(real_trace), nack_sizes(sim_trace)) << seed;
+    if (c.threshold >= 0.0) {
+      EXPECT_TRUE(simulated.aborted_irrelevant) << seed;
+    }
+    if (c.max_rounds == 2) {
+      EXPECT_TRUE(simulated.gave_up) << seed;
+    }
   }
 }

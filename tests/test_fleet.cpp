@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -733,11 +734,16 @@ TEST(DocumentCache, OversizedCookedSetIsRejectedAtBuildTime) {
   EXPECT_EQ(cooked->transmitter.n(), mw::ida::kMaxPackets);
 }
 
-TEST(FleetEngine, OversizedGammaSurfacesFromRun) {
+TEST(FleetEngine, OversizedGammaIsRejectedAtConstruction) {
+  // Every corpus document has m = 40, so gamma = 7 (N = 280) is known bad
+  // before the cache builds anything; so are a NaN and a gamma below 1.
   fleet::FleetConfig cfg = small_config(4);
-  cfg.gammas = {7.0};
-  fleet::FleetEngine engine(cfg);
-  EXPECT_THROW(engine.run(), mw::ContractViolation);
+  for (const double bad : {7.0, std::nan(""), 0.5}) {
+    cfg.gammas = {1.5, bad};
+    EXPECT_THROW(fleet::FleetEngine{cfg}, mw::ContractViolation) << bad;
+  }
+  cfg.gammas = {6.375};  // N = 255 fits
+  EXPECT_NO_THROW(fleet::FleetEngine{cfg});
 }
 
 // ---- Edge proxy tier (origin failover, staleness, reconciliation) ----

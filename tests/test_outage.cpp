@@ -91,6 +91,27 @@ TEST(MarkovOutage, RepeatedQueriesAtSameTimeAgree) {
   }
 }
 
+TEST(MarkovOutage, FarQueriesCostBoundedWorkAndKeepTheDuty) {
+  // Dwells of about a microsecond queried once a second: every query lies
+  // ~10^6 dwells past the last one drawn, so the model draws the state from
+  // the chain's transition law instead of walking the dwells. The duty cycle
+  // must survive, repeated queries must agree, and a query at 1e300 s (whose
+  // dwells fall below the clock's resolution) must return.
+  auto model = channel::MarkovOutageModel::with_duty_cycle(0.3, 1e-6);
+  Rng rng(4321);
+  long down = 0;
+  const long steps = 20000;
+  for (long i = 1; i <= steps; ++i) {
+    const double t = static_cast<double>(i);
+    const bool up = model.link_up(t, rng);
+    EXPECT_EQ(model.link_up(t, rng), up) << "at t=" << t;
+    if (!up) ++down;
+  }
+  EXPECT_NEAR(static_cast<double>(down) / static_cast<double>(steps), 0.3, 0.02);
+  const bool far = model.link_up(1e300, rng);
+  EXPECT_EQ(model.link_up(1e300, rng), far);
+}
+
 TEST(MarkovOutage, CloneIsIndependent) {
   channel::MarkovOutageModel model(1.0, 1.0);
   auto copy = model.clone();

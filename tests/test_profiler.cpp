@@ -20,7 +20,7 @@ namespace {
 // Deterministic busy work the optimizer cannot elide.
 long spin(long iters) {
   volatile long acc = 0;
-  for (long i = 0; i < iters; ++i) acc += i;
+  for (long i = 0; i < iters; ++i) acc = acc + i;
   return acc;
 }
 

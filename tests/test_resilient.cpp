@@ -258,7 +258,9 @@ TEST(ResilientSession, LossyFeedbackRetriesWithBackoff) {
   EXPECT_EQ(r.session.rounds, 2);
   EXPECT_GE(r.request_attempts, 1);
   EXPECT_EQ(r.timeouts, r.request_attempts - 1);
-  if (r.timeouts > 0) EXPECT_GT(r.backoff_total_s, 0.0);
+  if (r.timeouts > 0) {
+    EXPECT_GT(r.backoff_total_s, 0.0);
+  }
 }
 
 TEST(ResilientSession, JitterIsDeterministicPerSeed) {
