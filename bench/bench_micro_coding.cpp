@@ -6,8 +6,9 @@
 //   * default — google-benchmark suite (per-kernel BM_GfMulAddRow/<name>
 //     entries report bytes_per_second for each coding kernel);
 //   * --json[=PATH] — self-timed sweep printing machine-readable JSON
-//     (kernel name -> MB/s, plus IDA encode/decode and CRC-32 throughput) to
-//     stdout or PATH, for the bench trajectory.
+//     (kernel name -> MB/s for mul_add_row and for dot_rows at the encode
+//     shape, plus IDA encode/decode and CRC-32 throughput) to stdout or
+//     PATH, for the bench trajectory.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -196,6 +197,22 @@ double measure_payload_mbps(std::size_t payload_bytes, Fn&& op) {
   return static_cast<double>(bytes) / 1e6 / secs;
 }
 
+// MB/s (1e6 source bytes) of dot_rows with kernel `k` at the encode shape:
+// one redundancy row of a (40, 60) code, 40 sources of 256 bytes.
+double measure_dot_rows_mbps(gf::Kernel k) {
+  constexpr std::size_t kSources = 40;
+  constexpr std::size_t kRow = 256;
+  const Bytes in = random_bytes(kSources * kRow, 16);
+  std::vector<const gf::Elem*> srcs;
+  for (std::size_t j = 0; j < kSources; ++j) srcs.push_back(in.data() + j * kRow);
+  const gf::Elem* coeffs = ida::systematic_generator(60, kSources).row(kSources);
+  Bytes out(kRow);
+  return measure_payload_mbps(in.size(), [&] {
+    gf::dot_rows(out.data(), srcs, {coeffs, kSources}, kRow, k);
+    benchmark::DoNotOptimize(out.data());
+  });
+}
+
 int emit_json(const std::string& path) {
   const std::size_t row_bytes = 4096;
   const Bytes payload = random_bytes(10240, 13);
@@ -213,6 +230,10 @@ int emit_json(const std::string& path) {
   for (const gf::Kernel k : benchable_kernels()) {
     report.metric(std::string("mul_add_row.") + gf::kernel_name(k) + ".mbps",
                   measure_mul_add_mbps(k, row_bytes));
+  }
+  for (const gf::Kernel k : benchable_kernels()) {
+    report.metric(std::string("dot_rows.") + gf::kernel_name(k) + ".mbps",
+                  measure_dot_rows_mbps(k));
   }
   report.metric("ida_encode_mbps", measure_payload_mbps(payload.size(), [&] {
                   benchmark::DoNotOptimize(

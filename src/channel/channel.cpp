@@ -1,6 +1,7 @@
 #include "channel/channel.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/profile.hpp"
 #include "util/check.hpp"
@@ -10,7 +11,8 @@ namespace mobiweb::channel {
 WirelessChannel::WirelessChannel(ChannelConfig config,
                                  std::unique_ptr<ErrorModel> errors)
     : config_(config), errors_(std::move(errors)), rng_(config.seed) {
-  MOBIWEB_CHECK_MSG(config_.bandwidth_bps > 0.0, "WirelessChannel: bandwidth > 0");
+  MOBIWEB_CHECK_MSG(std::isfinite(config_.bandwidth_bps) && config_.bandwidth_bps > 0.0,
+                    "WirelessChannel: bandwidth finite and > 0");
   MOBIWEB_CHECK_MSG(errors_ != nullptr, "WirelessChannel: error model required");
   // 1.0 is allowed: a completely dead back channel is a legitimate
   // fault-injection configuration (the resilient driver's retry budget is

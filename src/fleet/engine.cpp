@@ -151,7 +151,8 @@ FleetEngine::FleetEngine(FleetConfig config)
   for (const double gamma : config_.gammas) ida::cooked_count(m, gamma);
   MOBIWEB_CHECK_MSG(config_.alpha >= 0.0 && config_.alpha < 1.0,
                     "FleetEngine: alpha in [0,1)");
-  MOBIWEB_CHECK_MSG(config_.bandwidth_bps > 0.0, "FleetEngine: bandwidth > 0");
+  MOBIWEB_CHECK_MSG(std::isfinite(config_.bandwidth_bps) && config_.bandwidth_bps > 0.0,
+                    "FleetEngine: bandwidth finite and > 0");
   MOBIWEB_CHECK_MSG(config_.zipf_s >= 0.0, "FleetEngine: zipf_s >= 0");
   MOBIWEB_CHECK_MSG(config_.arrival_rate_hz >= 0.0,
                     "FleetEngine: arrival_rate_hz >= 0");

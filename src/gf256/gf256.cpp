@@ -258,6 +258,72 @@ void mul_row_simd(Elem* out, const Elem* in, Elem c, std::size_t n) {
 
 #endif
 
+// ---- fused AVX2 dot product (kSimd's dot_rows) ----
+
+#if defined(MOBIWEB_GF_X86)
+
+bool avx2_supported() {
+  static const bool supported = __builtin_cpu_supports("avx2") != 0;
+  return supported;
+}
+
+// c * x for 32 bytes: the split-nibble lookup at AVX2 width. vpshufb looks up
+// within each 128-bit lane, so lo and hi hold the 16-entry tables twice.
+__attribute__((target("avx2"))) inline __m256i mul_avx2(__m256i x, __m256i lo,
+                                                        __m256i hi, __m256i mask) {
+  return _mm256_xor_si256(
+      _mm256_shuffle_epi8(lo, _mm256_and_si256(x, mask)),
+      _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(x, 4), mask)));
+}
+
+// dot_rows over whole 64-byte blocks: each block of dst accumulates in two
+// registers across every source and is stored once. `nib` holds the built
+// tables of every coefficient. Returns the bytes done.
+__attribute__((target("avx2"))) std::size_t dot_rows_avx2(
+    Elem* dst, std::span<const Elem* const> srcs, std::span<const Elem> coeffs,
+    std::size_t n, const NibbleTables* nib) {
+  const __m256i mask = _mm256_set1_epi8(0x0f);
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    __m256i acc0 = _mm256_setzero_si256();
+    __m256i acc1 = _mm256_setzero_si256();
+    for (std::size_t j = 0; j < srcs.size(); ++j) {
+      const NibbleTables& t = nib[coeffs[j]];
+      const __m256i lo = _mm256_broadcastsi128_si256(
+          _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo)));
+      const __m256i hi = _mm256_broadcastsi128_si256(
+          _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi)));
+      const Elem* s = srcs[j] + i;
+      const __m256i x0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s));
+      const __m256i x1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 32));
+      acc0 = _mm256_xor_si256(acc0, mul_avx2(x0, lo, hi, mask));
+      acc1 = _mm256_xor_si256(acc1, mul_avx2(x1, lo, hi, mask));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), acc0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), acc1);
+  }
+  return i;
+}
+
+// The register-resident part of kSimd's dot_rows; the rest of the row goes
+// through the 16-byte mul_add_row_simd body.
+std::size_t dot_rows_wide(Elem* dst, std::span<const Elem* const> srcs,
+                          std::span<const Elem> coeffs, std::size_t n) {
+  if (n < 64 || !avx2_supported()) return 0;
+  CoeffTables& t = coeff_tables();
+  for (const Elem c : coeffs) t.build(c);
+  return dot_rows_avx2(dst, srcs, coeffs, n, t.nib.data());
+}
+
+#else
+
+std::size_t dot_rows_wide(Elem*, std::span<const Elem* const>, std::span<const Elem>,
+                          std::size_t) {
+  return 0;
+}
+
+#endif
+
 // ---- kernel selection ----
 
 // A set but unknown or unavailable name is a configuration error: falling
@@ -322,12 +388,10 @@ const Elem* mul_table(Elem c) {
   return t.full[c].data();
 }
 
-void mul_add_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k) {
-  // The profiler's detached cost here is one atomic load + branch per row —
-  // the same budget as the nullptr trace sinks. Attached, leaf scopes this
-  // short are dominated by the two clock reads; the table still ranks the
-  // row kernels as the hot spot correctly, just with inflated self time.
-  MOBIWEB_PROFILE_SCOPE("gf.mul_add_row");
+namespace {
+
+// mul_add_row without the profiler scope, shared with dot_rows.
+void add_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k) {
   if (c == 0 || n == 0) return;
   if (c == 1) {
     // Identity coefficient — common in systematic decodes where clear-text
@@ -340,6 +404,41 @@ void mul_add_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k) {
     case Kernel::kMulTable: mul_add_row_table(out, in, c, n); break;
     case Kernel::kSplitNibble: mul_add_row_nibble(out, in, c, n); break;
     default: mul_add_row_simd(out, in, c, n); break;
+  }
+}
+
+bool overlaps(const Elem* a, const Elem* b, std::size_t n) {
+  const auto x = reinterpret_cast<std::uintptr_t>(a);
+  const auto y = reinterpret_cast<std::uintptr_t>(b);
+  return x < y + n && y < x + n;
+}
+
+}  // namespace
+
+void mul_add_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k) {
+  // The profiler's detached cost here is one atomic load + branch per row —
+  // the same budget as the nullptr trace sinks. Attached, leaf scopes this
+  // short are dominated by the two clock reads; the table still ranks the
+  // row kernels as the hot spot correctly, just with inflated self time.
+  MOBIWEB_PROFILE_SCOPE("gf.mul_add_row");
+  add_row(out, in, c, n, k);
+}
+
+void dot_rows(Elem* dst, std::span<const Elem* const> srcs,
+              std::span<const Elem> coeffs, std::size_t n, Kernel k) {
+  MOBIWEB_CHECK_MSG(srcs.size() == coeffs.size(),
+                    "dot_rows: one coefficient per source row");
+  if (n == 0) return;
+  for (const Elem* s : srcs) {
+    MOBIWEB_CHECK_MSG(!overlaps(dst, s, n), "dot_rows: dst overlaps a source row");
+  }
+  // kSimd does what it can in registers; every kernel then zeroes the rest of
+  // dst and adds one source row at a time.
+  const Kernel r = resolve_kernel(k);
+  const std::size_t done = r == Kernel::kSimd ? dot_rows_wide(dst, srcs, coeffs, n) : 0;
+  std::memset(dst + done, 0, n - done);
+  for (std::size_t j = 0; j < srcs.size(); ++j) {
+    add_row(dst + done, srcs[j] + done, coeffs[j], n - done, r);
   }
 }
 
@@ -368,6 +467,11 @@ void mul_add_row(Elem* out, const Elem* in, Elem c, std::size_t n) {
 
 void mul_row(Elem* out, const Elem* in, Elem c, std::size_t n) {
   mul_row(out, in, c, n, active_kernel());
+}
+
+void dot_rows(Elem* dst, std::span<const Elem* const> srcs,
+              std::span<const Elem> coeffs, std::size_t n) {
+  dot_rows(dst, srcs, coeffs, n, active_kernel());
 }
 
 }  // namespace mobiweb::gf

@@ -5,18 +5,25 @@
 // division use log/antilog tables generated at static-init time from the
 // primitive element 0x02 of the AES-like polynomial 0x11d.
 //
-// The row kernels (`mul_add_row` / `mul_row`) — the inner loop of every
-// encode/decode — come in several implementations selected at runtime via
+// The row kernels come in several implementations selected at runtime via
 // `Kernel`: the original scalar log/exp loop, a per-coefficient 256-entry
 // multiplication table, a split-nibble (two 16-entry tables) form, and a SIMD
 // split-nibble form using pshufb (SSSE3) or tbl (NEON) where the hardware
 // supports it. All kernels produce byte-identical output.
+//
+// `dot_rows` (dst = sum_j c_j * src_j) is the inner loop of every IDA encode
+// and decode. The portable kernels zero dst and add one source row at a time;
+// kSimd on an AVX2 CPU keeps 64 bytes of dst in registers across all sources
+// and stores them once, finishing the row's last < 64 bytes with the 16-byte
+// SSSE3 body. `mul_add_row` / `mul_row` remain for the in-place row
+// operations of Gauss-Jordan elimination (Matrix::inverse).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "util/check.hpp"
@@ -85,7 +92,8 @@ enum class Kernel : std::uint8_t {
   kScalar,       // branch-per-byte log/exp lookups (the original seed kernel)
   kMulTable,     // lazily-built 256-entry per-coefficient table, 8x unrolled
   kSplitNibble,  // two 16-entry low/high nibble tables, autovectorizable
-  kSimd,         // split-nibble via pshufb/tbl; requires kernel_available()
+  kSimd,         // split-nibble via pshufb/tbl, AVX2-wide in dot_rows where
+                 // the CPU has it; requires kernel_available()
   kAuto,
 };
 
@@ -113,7 +121,7 @@ void set_kernel(Kernel k);
 // 256-byte table t with t[x] = c * x, lazily built and cached per coefficient.
 const Elem* mul_table(Elem c);
 
-// out[i] ^= c * in[i] over a row of bytes — the inner loop of encode/decode.
+// out[i] ^= c * in[i] over a row of bytes.
 void mul_add_row(Elem* out, const Elem* in, Elem c, std::size_t n);
 
 // out[i] = c * in[i].
@@ -123,5 +131,15 @@ void mul_row(Elem* out, const Elem* in, Elem c, std::size_t n);
 // path. `k` must satisfy kernel_available(k).
 void mul_add_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k);
 void mul_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k);
+
+// dst[i] = sum_j coeffs[j] * srcs[j][i] for i < n: the dot product of the
+// n-byte rows srcs with coeffs, which holds one coefficient per source (no
+// sources zero dst). dst is overwritten, never read, and must not overlap a
+// source row; a size mismatch or an overlap throws ContractViolation. Opens no
+// profiler scope, so its time is the caller's self time.
+void dot_rows(Elem* dst, std::span<const Elem* const> srcs,
+              std::span<const Elem> coeffs, std::size_t n);
+void dot_rows(Elem* dst, std::span<const Elem* const> srcs,
+              std::span<const Elem> coeffs, std::size_t n, Kernel k);
 
 }  // namespace mobiweb::gf

@@ -1,6 +1,7 @@
 #include "ida/ida.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -94,38 +95,44 @@ Encoder::Encoder(std::size_t m, std::size_t n) : m_(m), n_(n) {
   MOBIWEB_CHECK_MSG(n <= kMaxPackets, "Encoder: n must be <= 255 over GF(2^8)");
 }
 
-std::vector<Bytes> Encoder::encode(const std::vector<Bytes>& raw) const {
+Bytes Encoder::encode_flat(ByteSpan payload, std::size_t packet_size) const {
   MOBIWEB_PROFILE_SCOPE("ida.encode");
-  MOBIWEB_CHECK_MSG(raw.size() == m_, "Encoder::encode: expected m raw packets");
-  const std::size_t size = raw.front().size();
-  MOBIWEB_CHECK_MSG(size >= 1, "Encoder::encode: empty packets");
-  for (const auto& p : raw) {
-    MOBIWEB_CHECK_MSG(p.size() == size, "Encoder::encode: packet sizes differ");
-  }
+  MOBIWEB_CHECK_MSG(packet_count(payload.size(), packet_size) == m_,
+                    "Encoder::encode_flat: payload does not split into m packets");
+  const std::size_t size = packet_size;
+  // Systematic prefix: the payload itself, zero-padded to m rows.
+  Bytes cooked(n_ * size);
+  std::copy(payload.begin(), payload.end(), cooked.begin());
+  std::array<const gf::Elem*, kMaxPackets> raw{};
+  for (std::size_t j = 0; j < m_; ++j) raw[j] = cooked.data() + j * size;
 
   const gf::Matrix& g = systematic_generator(n_, m_);
-  std::vector<Bytes> cooked(n_);
-  // Systematic prefix: plain copies, no field arithmetic.
-  for (std::size_t i = 0; i < m_; ++i) cooked[i] = raw[i];
   // Redundancy rows are independent dot products over the shared raw packets,
   // so they shard across threads without changing a single output byte.
   for_each_row_range(m_, n_, m_ * size, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      cooked[i].assign(size, 0);
-      for (std::size_t j = 0; j < m_; ++j) {
-        gf::mul_add_row(cooked[i].data(), raw[j].data(), g.at(i, j), size);
-      }
+      gf::dot_rows(cooked.data() + i * size, {raw.data(), m_}, {g.row(i), m_}, size);
     }
   });
   return cooked;
 }
 
+std::vector<Bytes> Encoder::encode(const std::vector<Bytes>& raw) const {
+  MOBIWEB_CHECK_MSG(raw.size() == m_, "Encoder::encode: expected m raw packets");
+  const std::size_t size = raw.front().size();
+  MOBIWEB_CHECK_MSG(size >= 1, "Encoder::encode: empty packets");
+  Bytes payload;
+  payload.reserve(m_ * size);
+  for (const auto& p : raw) {
+    MOBIWEB_CHECK_MSG(p.size() == size, "Encoder::encode: packet sizes differ");
+    payload.insert(payload.end(), p.begin(), p.end());
+  }
+  return encode_payload(ByteSpan(payload), size);
+}
+
 std::vector<Bytes> Encoder::encode_payload(ByteSpan payload,
                                            std::size_t packet_size) const {
-  auto raw = split_payload(payload, packet_size);
-  MOBIWEB_CHECK_MSG(raw.size() == m_,
-                    "Encoder::encode_payload: payload does not split into m packets");
-  return encode(raw);
+  return split_payload(ByteSpan(encode_flat(payload, packet_size)), packet_size);
 }
 
 Decoder::Decoder(std::size_t m, std::size_t n) : m_(m), n_(n) {
@@ -147,10 +154,11 @@ namespace {
 //
 //   s_r = payload_r + sum_{j clear} g[r][j] raw_j = sum_{e in E} g[r][e] raw_e
 //
-// so raw_E = B^-1 s with B = g[R][E]: a k x k inverse plus k*m row kernels,
-// where inverting the whole m x m sub-generator costs an m x m inverse plus
-// m*m row kernels. That sub-generator is block-triangular ([I 0; * B] up to
-// row order), so it is singular exactly when B is.
+// so raw_E = B^-1 s with B = g[R][E]: a k x k inverse plus 2k dot products
+// over k*m source rows in all, where inverting the whole m x m sub-generator
+// costs an m x m inverse plus m*m row products. That sub-generator is
+// block-triangular ([I 0; * B] up to row order), so it is singular exactly
+// when B is.
 Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
                   std::size_t m, std::size_t n) {
   MOBIWEB_PROFILE_SCOPE("ida.decode");
@@ -170,27 +178,31 @@ Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
   // Selected clear packets go straight to their raw row.
   Bytes out(m * size);
   const auto row = [&](std::size_t j) { return out.data() + j * size; };
-  std::vector<bool> seen(n, false);
-  std::vector<std::pair<std::size_t, const Bytes*>> redundant;  // R
+  std::array<bool, kMaxPackets> seen{};
+  std::array<std::pair<std::size_t, const gf::Elem*>, kMaxPackets> redundant{};  // R
   std::size_t selected = 0;
+  std::size_t k = 0;
   for (const auto& [idx, data] : cooked) {
     if (seen[idx]) continue;
     seen[idx] = true;
     if (idx < m) {
       std::copy(data.begin(), data.end(), row(idx));
     } else {
-      redundant.emplace_back(idx, &data);
+      redundant[k++] = {idx, data.data()};
     }
     if (++selected == m) break;
   }
   MOBIWEB_CHECK_MSG(selected == m,
                     "Decoder::decode: need at least m distinct intact packets");
-
-  std::vector<std::size_t> clear;
-  std::vector<std::size_t> erased;
-  for (std::size_t j = 0; j < m; ++j) (seen[j] ? clear : erased).push_back(j);
-  const std::size_t k = erased.size();
   if (k == 0) return out;
+
+  std::array<std::size_t, kMaxPackets> clear{};
+  std::array<std::size_t, kMaxPackets> erased{};
+  std::size_t clear_count = 0;
+  std::size_t erased_count = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    (seen[j] ? clear[clear_count++] : erased[erased_count++]) = j;
+  }
 
   const gf::Matrix& g = systematic_generator(n, m);
   gf::Matrix block(k, k);
@@ -204,24 +216,28 @@ Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
                     "Decoder::decode: sub-generator singular (corrupt indices?)");
 
   // Syndrome and solution rows are each independent, so both passes shard
-  // across the pool.
+  // across the pool. A syndrome is one dot product: the received payload with
+  // coefficient 1, then the clear rows (1 + clear_count <= m sources).
   Bytes syndromes(k * size);
-  const auto syndrome = [&](std::size_t a) { return syndromes.data() + a * size; };
-  const std::size_t syndrome_work = (clear.size() + 1) * size;
-  for_each_row_range(0, k, syndrome_work, [&](std::size_t lo, std::size_t hi) {
+  std::array<const gf::Elem*, kMaxPackets> syndrome_rows{};
+  for (std::size_t a = 0; a < k; ++a) syndrome_rows[a] = syndromes.data() + a * size;
+  const std::size_t terms = 1 + clear_count;
+  for_each_row_range(0, k, terms * size, [&](std::size_t lo, std::size_t hi) {
+    std::array<const gf::Elem*, kMaxPackets> srcs{};
+    std::array<gf::Elem, kMaxPackets> coeffs{};
+    for (std::size_t c = 0; c < clear_count; ++c) srcs[1 + c] = row(clear[c]);
+    coeffs[0] = 1;
     for (std::size_t a = lo; a < hi; ++a) {
       const auto& [r, payload] = redundant[a];
-      std::copy(payload->begin(), payload->end(), syndrome(a));
-      for (const std::size_t j : clear) {
-        gf::mul_add_row(syndrome(a), row(j), g.at(r, j), size);
-      }
+      srcs[0] = payload;
+      for (std::size_t c = 0; c < clear_count; ++c) coeffs[1 + c] = g.at(r, clear[c]);
+      gf::dot_rows(syndromes.data() + a * size, {srcs.data(), terms},
+                   {coeffs.data(), terms}, size);
     }
   });
   for_each_row_range(0, k, k * size, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t e = lo; e < hi; ++e) {
-      for (std::size_t a = 0; a < k; ++a) {
-        gf::mul_add_row(row(erased[e]), syndrome(a), inv.at(e, a), size);
-      }
+      gf::dot_rows(row(erased[e]), {syndrome_rows.data(), k}, {inv.row(e), k}, size);
     }
   });
   return out;
@@ -232,13 +248,7 @@ Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
 std::vector<Bytes> Decoder::decode(
     const std::vector<std::pair<std::size_t, Bytes>>& cooked) const {
   const Bytes flat = decode_flat(cooked, m_, n_);
-  const std::size_t size = flat.size() / m_;
-  std::vector<Bytes> raw(m_);
-  for (std::size_t i = 0; i < m_; ++i) {
-    const auto begin = flat.begin() + static_cast<std::ptrdiff_t>(i * size);
-    raw[i].assign(begin, begin + static_cast<std::ptrdiff_t>(size));
-  }
-  return raw;
+  return split_payload(ByteSpan(flat), flat.size() / m_);
 }
 
 Bytes Decoder::decode_payload(

@@ -75,13 +75,20 @@ class Encoder {
   [[nodiscard]] std::size_t m() const { return m_; }
   [[nodiscard]] std::size_t n() const { return n_; }
 
+  // Splits `payload` into m raw packets of `packet_size` bytes (the last one
+  // zero-padded) and returns the n cooked packets back to back: cooked packet
+  // i is bytes [i * packet_size, (i + 1) * packet_size), and the first m are
+  // the raw packets. Throws ContractViolation unless the payload splits into
+  // exactly m packets.
+  [[nodiscard]] Bytes encode_flat(ByteSpan payload, std::size_t packet_size) const;
+
+  // encode_flat, cut into one Bytes per cooked packet.
+  [[nodiscard]] std::vector<Bytes> encode_payload(ByteSpan payload,
+                                                  std::size_t packet_size) const;
+
   // Encodes pre-split raw packets (all the same size) into n cooked packets.
   // The first m cooked packets equal the raw packets.
   [[nodiscard]] std::vector<Bytes> encode(const std::vector<Bytes>& raw) const;
-
-  // Convenience: split + encode.
-  [[nodiscard]] std::vector<Bytes> encode_payload(ByteSpan payload,
-                                                  std::size_t packet_size) const;
 
  private:
   std::size_t m_;

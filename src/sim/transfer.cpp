@@ -17,6 +17,8 @@ void TransferConfig::validate() const {
   MOBIWEB_CHECK_MSG(max_rounds >= 1, "TransferConfig: max_rounds >= 1");
   MOBIWEB_CHECK_MSG(std::isfinite(request_delay) && request_delay >= 0.0,
                     "TransferConfig: request_delay finite and >= 0");
+  MOBIWEB_CHECK_MSG(!std::isnan(relevance_threshold),
+                    "TransferConfig: relevance_threshold is not NaN");
 }
 
 void RetryConfig::validate() const {

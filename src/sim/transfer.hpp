@@ -40,7 +40,8 @@ struct TransferConfig {
   obs::SessionTrace* trace = nullptr;
 
   // Throws ContractViolation unless 1 <= m <= n <= ida::kMaxPackets,
-  // max_rounds >= 1 and request_delay is finite and >= 0.
+  // max_rounds >= 1, request_delay is finite and >= 0 and
+  // relevance_threshold is not NaN.
   void validate() const;
 };
 

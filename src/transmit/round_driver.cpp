@@ -1,6 +1,7 @@
 #include "transmit/round_driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "util/check.hpp"
@@ -10,6 +11,8 @@ namespace mobiweb::transmit {
 RoundDriver::RoundDriver(channel::WirelessChannel& channel, RoundConfig config)
     : channel_(&channel), config_(config), start_(channel.now()),
       last_arrival_(start_) {
+  MOBIWEB_CHECK_MSG(!std::isnan(config_.relevance_threshold),
+                    "RoundDriver: relevance_threshold is not NaN");
   if (config_.retry != nullptr) {
     MOBIWEB_CHECK_MSG(config_.jitter != nullptr, "RoundDriver: retry needs a jitter stream");
     backoff_ = config_.retry->initial_timeout_s;

@@ -52,7 +52,8 @@ struct RoundConfig {
 
 class RoundDriver {
  public:
-  // Starts the session clock at the channel's current time.
+  // Starts the session clock at the channel's current time. A NaN
+  // relevance_threshold throws ContractViolation.
   RoundDriver(channel::WirelessChannel& channel, RoundConfig config);
 
   // What the rounds put on the air; `stale` counts every newly useful frame

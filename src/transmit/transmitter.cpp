@@ -16,8 +16,8 @@ DocumentTransmitter::DocumentTransmitter(doc::LinearDocument document,
   n_ = ida::cooked_count(m_, config_.gamma);
 
   ida::Encoder encoder(m_, n_);
-  const auto cooked = encoder.encode_payload(ByteSpan(document_.payload),
-                                             config_.packet_size);
+  const std::size_t size = config_.packet_size;
+  const Bytes cooked = encoder.encode_flat(ByteSpan(document_.payload), size);
   frames_.reserve(n_);
   for (std::size_t i = 0; i < n_; ++i) {
     packet::Packet p;
@@ -27,7 +27,7 @@ DocumentTransmitter::DocumentTransmitter(doc::LinearDocument document,
     p.flags = 0;
     if (i < m_) p.flags |= packet::kFlagClearText;
     if (i + 1 == n_) p.flags |= packet::kFlagLast;
-    p.payload = ByteSpan(cooked[i]);
+    p.payload = ByteSpan(cooked).subspan(i * size, size);
     frames_.push_back(packet::encode(p));
   }
 }

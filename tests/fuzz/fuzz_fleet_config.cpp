@@ -6,7 +6,9 @@
 // the input, NaN, ±inf, zero and negative values included, and checks that
 //
 //   * building the configuration (outage prototypes included) and the engine
-//     either succeeds or throws ContractViolation, and
+//     either succeeds or throws ContractViolation,
+//   * a built engine has a finite bandwidth and a relevance threshold that
+//     is not NaN, and
 //   * a built engine's run() returns with
 //     completed + aborted_irrelevant + gave_up + degraded == sessions,
 //     and every recorded outcome carries exactly one verdict.
@@ -29,6 +31,7 @@
 //   telemetry: engaged (bool), then bucket width (10), max buckets (0..64),
 //     trace fraction (1), SLO tolerance (2)
 // Sessions run on one shard: fuzzing looks for bad configurations, not races.
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -135,6 +138,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   } catch (const ContractViolation&) {
     return 0;  // rejected loudly at construction
   }
+  // A value without meaning is rejected, never run: an infinite bandwidth
+  // gives every frame zero airtime, a NaN relevance threshold reads as
+  // "relevant".
+  const fleet::FleetConfig& c = engine->config();
+  MOBIWEB_FUZZ_ASSERT(std::isfinite(c.bandwidth_bps), "an infinite bandwidth was accepted");
+  MOBIWEB_FUZZ_ASSERT(!std::isnan(c.relevance_threshold),
+                      "a NaN relevance threshold was accepted");
   static mobiweb::ThreadPool pool(1);
   const fleet::FleetResult r = engine->run(&pool);
   const std::size_t sessions = engine->config().sessions;

@@ -1,8 +1,9 @@
 // Fuzz target: differential check of the GF(2^8) row kernels. All kernel
 // implementations (scalar log/exp, per-coefficient table, split-nibble,
 // SIMD pshufb/tbl) are documented to produce byte-identical output; the
-// scalar kernel is the reference. Also exercises the field's algebraic
-// identities on arbitrary elements.
+// scalar kernel is the reference, for mul_add_row, mul_row and the fused
+// dot_rows. Also exercises the field's algebraic identities on arbitrary
+// elements.
 #include <cstdint>
 #include <vector>
 
@@ -57,6 +58,30 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     gf::mul_row(out_mul.data(), row.data(), c, row_len, k);
     MOBIWEB_FUZZ_ASSERT(out_add == ref_add, "mul_add_row kernel divergence");
     MOBIWEB_FUZZ_ASSERT(out_mul == ref_mul, "mul_row kernel divergence");
+  }
+
+  // dot_rows differential: up to 8 carved sources and coefficients, every
+  // kernel against zero-then-scalar-mul_add_row.
+  const std::size_t sources = in.take_in_range(0, 8);
+  const std::size_t dot_len = in.take_in_range(0, 300);
+  std::vector<std::vector<std::uint8_t>> store;
+  std::vector<const gf::Elem*> srcs;
+  std::vector<gf::Elem> coeffs;
+  for (std::size_t j = 0; j < sources; ++j) {
+    coeffs.push_back(in.take_byte());
+    store.push_back(in.take_bytes(dot_len));
+  }
+  for (const auto& s : store) srcs.push_back(s.data());
+  std::vector<std::uint8_t> ref_dot(dot_len, 0);
+  for (std::size_t j = 0; j < sources; ++j) {
+    gf::mul_add_row(ref_dot.data(), srcs[j], coeffs[j], dot_len, gf::Kernel::kScalar);
+  }
+  for (const gf::Kernel k : {gf::Kernel::kScalar, gf::Kernel::kMulTable,
+                             gf::Kernel::kSplitNibble, gf::Kernel::kSimd, gf::Kernel::kAuto}) {
+    if (!gf::kernel_available(k)) continue;
+    std::vector<std::uint8_t> out_dot(dot_len, 0xa5);
+    gf::dot_rows(out_dot.data(), srcs, coeffs, dot_len, k);
+    MOBIWEB_FUZZ_ASSERT(out_dot == ref_dot, "dot_rows kernel divergence");
   }
   return 0;
 }

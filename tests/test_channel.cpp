@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "channel/channel.hpp"
 #include "channel/error_model.hpp"
@@ -236,6 +238,17 @@ TEST(Channel, PropagationDelayAddsToArrival) {
   const Bytes frame(240, 0);
   const auto d = ch.send(ByteSpan(frame));
   EXPECT_NEAR(d.arrive_time - d.depart_time, 0.25, 1e-12);
+}
+
+TEST(Channel, RejectsNonFiniteOrNonPositiveBandwidth) {
+  // An infinite bandwidth would give every frame zero airtime.
+  for (const double bad : {std::numeric_limits<double>::infinity(), std::nan(""), 0.0, -1.0}) {
+    channel::ChannelConfig cfg;
+    cfg.bandwidth_bps = bad;
+    EXPECT_THROW(channel::WirelessChannel(cfg, std::make_unique<channel::IidErrorModel>(0.0)),
+                 ContractViolation)
+        << bad;
+  }
 }
 
 TEST(Channel, RejectsEmptyFrame) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -743,6 +744,22 @@ TEST(FleetEngine, OversizedGammaIsRejectedAtConstruction) {
     EXPECT_THROW(fleet::FleetEngine{cfg}, mw::ContractViolation) << bad;
   }
   cfg.gammas = {6.375};  // N = 255 fits
+  EXPECT_NO_THROW(fleet::FleetEngine{cfg});
+}
+
+// An infinite bandwidth gives every frame zero airtime, and a NaN relevance
+// threshold compares false against everything and so reads as "relevant":
+// both are rejected at construction, never run.
+TEST(FleetEngine, RejectsInfiniteBandwidthAndNanThreshold) {
+  for (const double bad : {std::numeric_limits<double>::infinity(), std::nan(""), 0.0, -1.0}) {
+    fleet::FleetConfig cfg = small_config(4);
+    cfg.bandwidth_bps = bad;
+    EXPECT_THROW(fleet::FleetEngine{cfg}, mw::ContractViolation) << bad;
+  }
+  fleet::FleetConfig cfg = small_config(4);
+  cfg.relevance_threshold = std::nan("");
+  EXPECT_THROW(fleet::FleetEngine{cfg}, mw::ContractViolation);
+  cfg.relevance_threshold = 0.5;
   EXPECT_NO_THROW(fleet::FleetEngine{cfg});
 }
 

@@ -201,6 +201,69 @@ TEST(GfKernels, RandomizedRowsAllKernelsAgree) {
   }
 }
 
+// dot_rows against its definition: zero, then one scalar mul_add_row per
+// source. Rows of 16..63 bytes reach only kSimd's 16-byte SSSE3 body and
+// scalar tail; longer ones its 64-byte AVX2 blocks first. Every source and
+// dst starts one byte past its buffer's start, so no row is aligned.
+TEST(GfKernels, DotRowsMatchesScalarMulAddLoop) {
+  Rng rng(49);
+  const auto check = [&](const std::vector<Bytes>& store, const Bytes& coeffs,
+                         std::size_t n) {
+    std::vector<const gf::Elem*> srcs;
+    for (const Bytes& s : store) srcs.push_back(s.data() + 1);
+    Bytes expect(n, 0);
+    for (std::size_t j = 0; j < srcs.size(); ++j) {
+      gf::mul_add_row(expect.data(), srcs[j], coeffs[j], n, gf::Kernel::kScalar);
+    }
+    for (const gf::Kernel k : available_kernels()) {
+      Bytes out = random_bytes(n + 1, rng);  // dst is overwritten, never read
+      gf::dot_rows(out.data() + 1, srcs, coeffs, n, k);
+      ASSERT_EQ(Bytes(out.begin() + 1, out.end()), expect)
+          << "kernel=" << gf::kernel_name(k) << " sources=" << srcs.size() << " n=" << n;
+    }
+  };
+  for (const std::size_t sources : {1u, 2u, 40u, 255u}) {
+    for (const std::size_t n : {1u, 15u, 16u, 31u, 63u, 64u, 65u, 255u, 256u, 257u, 4096u}) {
+      std::vector<Bytes> store;
+      Bytes coeffs;
+      for (std::size_t j = 0; j < sources; ++j) {
+        store.push_back(random_bytes(n + 1, rng));
+        coeffs.push_back(static_cast<gf::Elem>(rng.next_below(256)));
+      }
+      check(store, coeffs, n);
+      // Coefficients 0 and 1 (the systematic decode's identity term).
+      coeffs.front() = 0;
+      coeffs.back() = 1;
+      check(store, coeffs, n);
+      if (sources == 1) {
+        coeffs.front() = 1;
+        check(store, coeffs, n);
+      }
+    }
+  }
+}
+
+TEST(GfKernels, DotRowsContract) {
+  Rng rng(50);
+  const Bytes a = random_bytes(64, rng);
+  const Bytes b = random_bytes(64, rng);
+  const std::vector<const gf::Elem*> srcs = {a.data(), b.data()};
+  const Bytes coeffs = {3, 7};
+  for (const gf::Kernel k : available_kernels()) {
+    Bytes dst(64, 0xaa);
+    gf::dot_rows(dst.data(), {}, {}, dst.size(), k);  // no sources: zeros
+    EXPECT_EQ(dst, Bytes(64, 0)) << gf::kernel_name(k);
+    EXPECT_THROW(gf::dot_rows(dst.data(), srcs, {coeffs.data(), 1}, 64, k),
+                 ContractViolation);
+    // dst may not overlap a source, not even in part.
+    Bytes buf = random_bytes(128, rng);
+    const std::vector<const gf::Elem*> overlapping = {a.data(), buf.data() + 32};
+    EXPECT_THROW(gf::dot_rows(buf.data(), overlapping, coeffs, 64, k), ContractViolation);
+    const std::vector<const gf::Elem*> adjacent = {a.data(), buf.data() + 64};
+    EXPECT_NO_THROW(gf::dot_rows(buf.data(), adjacent, coeffs, 64, k));
+  }
+}
+
 TEST(IdaParallel, EncodeIdenticalToSerial) {
   Rng rng(45);
   const Bytes payload = random_bytes(10240, rng);

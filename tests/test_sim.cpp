@@ -1,6 +1,7 @@
 // Simulation harness: synthetic documents, analytic transfers, experiments.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -282,6 +283,16 @@ TEST(Transfer, InputValidation) {
   EXPECT_THROW(sim::simulate_transfer(uniform_content(39), cfg, rng),
                ContractViolation);
   cfg.n = 10;  // < m
+  EXPECT_THROW(sim::simulate_transfer(uniform_content(cfg.m), cfg, rng),
+               ContractViolation);
+}
+
+TEST(Transfer, RejectsNanRelevanceThreshold) {
+  // NaN >= 0 is false, so a NaN threshold would silently mean "relevant".
+  auto cfg = base_config();
+  cfg.relevance_threshold = std::nan("");
+  EXPECT_THROW(cfg.validate(), ContractViolation);
+  Rng rng(76);
   EXPECT_THROW(sim::simulate_transfer(uniform_content(cfg.m), cfg, rng),
                ContractViolation);
 }

@@ -14,6 +14,7 @@
 #include "obs/trace.hpp"
 #include "transmit/adaptive.hpp"
 #include "transmit/receiver.hpp"
+#include "transmit/round_driver.hpp"
 #include "transmit/session.hpp"
 #include "transmit/transmitter.hpp"
 #include "xml/parser.hpp"
@@ -152,6 +153,20 @@ TEST(Session, CleanChannelSendsExactlyM) {
               1e-9);
   // Reconstruction gives back the exact payload.
   EXPECT_EQ(rx.reconstruct(), lin.payload);
+}
+
+// NaN >= 0 is false, so a NaN threshold would silently mean "relevant":
+// the round driver every session runs rejects it before sending a frame.
+TEST(Session, RejectsNanRelevanceThreshold) {
+  auto ch = make_channel(0.0);
+  EXPECT_THROW(transmit::RoundDriver(ch, {.relevance_threshold = std::nan("")}),
+               ContractViolation);
+  const auto lin = make_linear();
+  transmit::DocumentTransmitter tx(lin, {.packet_size = 128, .gamma = 1.5});
+  transmit::ClientReceiver rx(receiver_config(tx), lin.segments);
+  transmit::TransferSession session(tx, rx, ch, {.relevance_threshold = std::nan("")});
+  EXPECT_THROW((void)session.run(), ContractViolation);
+  EXPECT_EQ(ch.now(), 0.0);
 }
 
 TEST(Session, LossyChannelRecovers) {
