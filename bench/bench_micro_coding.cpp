@@ -42,8 +42,7 @@ Bytes random_bytes(std::size_t n, std::uint64_t seed) {
 }
 
 std::vector<gf::Kernel> benchable_kernels() {
-  std::vector<gf::Kernel> ks = {gf::Kernel::kScalar, gf::Kernel::kMulTable,
-                                gf::Kernel::kSplitNibble};
+  std::vector<gf::Kernel> ks = {gf::Kernel::kScalar, gf::Kernel::kMulTable};
   if (gf::kernel_available(gf::Kernel::kSimd)) ks.push_back(gf::Kernel::kSimd);
   return ks;
 }

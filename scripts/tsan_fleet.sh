@@ -8,7 +8,8 @@
 # untouched, then runs the labels that exercise real multi-threading:
 #   fleet    — engine, cache, the session walk (test_sim), bench smoke
 #   obs      — metrics registry hammer
-#   coding   — thread pool + GF kernel tests (test_util / test_gf_kernels)
+#   coding   — thread pool + GF kernel tests (test_util / test_gf_kernels),
+#              and test_ida once per forced kernel (coding.kernel_env.*)
 #   stats    — tail summaries folded from concurrent shards (test_stats_workload)
 #   proxy    — edge tier: proxied engine walk across shards, origin-clone
 #              streams, the proxied bench smoke (test_proxy / bench_proxy)
@@ -25,8 +26,8 @@ cmake -B "$BUILD" -S "$ROOT" \
   -DMOBIWEB_BUILD_BENCH=ON \
   -DMOBIWEB_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD" -j \
-  --target test_fleet test_sim test_util test_obs test_gf_kernels test_stats \
-  test_stats_workload test_proxy test_timeseries bench_fleet bench_proxy
+  --target test_fleet test_sim test_util test_obs test_gf_kernels test_ida \
+  test_stats test_stats_workload test_proxy test_timeseries bench_fleet bench_proxy
 
 export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1}
 ctest --test-dir "$BUILD" --output-on-failure -L 'fleet|obs|coding|stats|proxy' "$@"

@@ -249,9 +249,8 @@ sim::SessionWalk& FleetEngine::emplace_walk(std::vector<sim::SessionWalk>& walks
 
 obs::SessionTrace FleetEngine::explain(std::size_t i) {
   MOBIWEB_CHECK_MSG(i < config_.sessions, "FleetEngine::explain: no such session");
-  const std::shared_ptr<const CookedDocument> doc = cache_.get(key_of(i));
   std::vector<sim::SessionWalk> one;
-  sim::SessionWalk& walk = emplace_walk(one, i, *doc);
+  sim::SessionWalk& walk = emplace_walk(one, i, *cache_.get(key_of(i)));
   obs::SessionTrace trace;
   trace.capture_events(true);
   sim::WalkSink sink{&trace, nullptr};
@@ -353,10 +352,10 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     };
 
     // Materialize this shard's walks and seed its event heap. A walk reads
-    // its document's content profile in place, so the shard pins every
-    // document it serves (a bounded cache may evict it mid-run).
+    // its document's content profile in place; the cache keeps every document
+    // it builds at one address for its lifetime, so nothing is pinned.
     const std::size_t count = hi - lo;
-    std::vector<std::shared_ptr<const CookedDocument>> docs(count);
+    std::vector<const CookedDocument*> docs(count);
     std::vector<sim::SessionWalk> walks;
     walks.reserve(count);
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;

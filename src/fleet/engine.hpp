@@ -51,7 +51,7 @@
 // each session's time, content and backoff in session-indexed columns and
 // sums them in session order; integer sums and the makespan (a max) do not
 // depend on order. So every FleetResult aggregate (plus the cache hit/miss
-// counts under an unbounded cache) is bit-identical at any shard count. The
+// counts) is bit-identical at any shard count. The
 // same purity makes any session explainable after the fact: explain(i)
 // re-runs session i's walk alone with a full trace attached.
 #pragma once

@@ -42,7 +42,7 @@ namespace {
 // use, so materialising all 256 rows up front would be wasted work.
 //
 //   full[c][x]          = c * x                     (kMulTable)
-//   nib[c].lo[x & 0xf]  = c * x for the low nibble  (kSplitNibble / kSimd)
+//   nib[c].lo[x & 0xf]  = c * x for the low nibble  (kSimd)
 //   nib[c].hi[x >> 4]   = c * (x << 4)
 //
 // c*x = lo[x & 0xf] ^ hi[x >> 4] by distributivity over GF(2) addition.
@@ -75,7 +75,8 @@ CoeffTables& coeff_tables() {
   return t;
 }
 
-const NibbleTables& nibble_tables(Elem c) {
+// Only the SIMD kernels read these; a target with neither x86 nor NEON has none.
+[[maybe_unused]] const NibbleTables& nibble_tables(Elem c) {
   auto& t = coeff_tables();
   t.build(c);
   return t.nib[c];
@@ -135,25 +136,6 @@ void mul_row_table(Elem* out, const Elem* in, Elem c, std::size_t n) {
     out[i + 7] = t[in[i + 7]];
   }
   for (; i < n; ++i) out[i] = t[in[i]];
-}
-
-// ---- split-nibble kernels (portable; the loop body is branch-free and
-// narrow enough for the compiler to autovectorize) ----
-
-void mul_add_row_nibble(Elem* out, const Elem* in, Elem c, std::size_t n) {
-  const NibbleTables& t = nibble_tables(c);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Elem x = in[i];
-    out[i] ^= static_cast<Elem>(t.lo[x & 0x0f] ^ t.hi[x >> 4]);
-  }
-}
-
-void mul_row_nibble(Elem* out, const Elem* in, Elem c, std::size_t n) {
-  const NibbleTables& t = nibble_tables(c);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Elem x = in[i];
-    out[i] = static_cast<Elem>(t.lo[x & 0x0f] ^ t.hi[x >> 4]);
-  }
 }
 
 // ---- SIMD split-nibble kernels ----
@@ -249,11 +231,11 @@ void mul_row_simd(Elem* out, const Elem* in, Elem c, std::size_t n) {
 bool simd_supported() { return false; }
 
 void mul_add_row_simd(Elem* out, const Elem* in, Elem c, std::size_t n) {
-  mul_add_row_nibble(out, in, c, n);
+  mul_add_row_table(out, in, c, n);
 }
 
 void mul_row_simd(Elem* out, const Elem* in, Elem c, std::size_t n) {
-  mul_row_nibble(out, in, c, n);
+  mul_row_table(out, in, c, n);
 }
 
 #endif
@@ -351,7 +333,6 @@ const char* kernel_name(Kernel k) {
   switch (k) {
     case Kernel::kScalar: return "scalar";
     case Kernel::kMulTable: return "multable";
-    case Kernel::kSplitNibble: return "splitnibble";
     case Kernel::kSimd: return "simd";
     case Kernel::kAuto: return "auto";
   }
@@ -359,8 +340,7 @@ const char* kernel_name(Kernel k) {
 }
 
 std::optional<Kernel> parse_kernel_name(std::string_view name) {
-  for (Kernel k : {Kernel::kScalar, Kernel::kMulTable, Kernel::kSplitNibble,
-                   Kernel::kSimd, Kernel::kAuto}) {
+  for (Kernel k : {Kernel::kScalar, Kernel::kMulTable, Kernel::kSimd, Kernel::kAuto}) {
     if (name == kernel_name(k)) return k;
   }
   return std::nullopt;
@@ -402,7 +382,6 @@ void add_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k) {
   switch (resolve_kernel(k)) {
     case Kernel::kScalar: mul_add_row_scalar(out, in, c, n); break;
     case Kernel::kMulTable: mul_add_row_table(out, in, c, n); break;
-    case Kernel::kSplitNibble: mul_add_row_nibble(out, in, c, n); break;
     default: mul_add_row_simd(out, in, c, n); break;
   }
 }
@@ -456,7 +435,6 @@ void mul_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k) {
   switch (resolve_kernel(k)) {
     case Kernel::kScalar: mul_row_scalar(out, in, c, n); break;
     case Kernel::kMulTable: mul_row_table(out, in, c, n); break;
-    case Kernel::kSplitNibble: mul_row_nibble(out, in, c, n); break;
     default: mul_row_simd(out, in, c, n); break;
   }
 }

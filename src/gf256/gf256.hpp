@@ -7,9 +7,9 @@
 //
 // The row kernels come in several implementations selected at runtime via
 // `Kernel`: the original scalar log/exp loop, a per-coefficient 256-entry
-// multiplication table, a split-nibble (two 16-entry tables) form, and a SIMD
-// split-nibble form using pshufb (SSSE3) or tbl (NEON) where the hardware
-// supports it. All kernels produce byte-identical output.
+// multiplication table, and a SIMD split-nibble (two 16-entry tables) form
+// using pshufb (SSSE3) or tbl (NEON) where the hardware supports it. All
+// kernels produce byte-identical output.
 //
 // `dot_rows` (dst = sum_j c_j * src_j) is the inner loop of every IDA encode
 // and decode. The portable kernels zero dst and add one source row at a time;
@@ -89,15 +89,15 @@ Elem pow(Elem a, unsigned e);
 // Row-kernel implementations. kAuto resolves to the fastest kernel available
 // on this CPU (kSimd where SSSE3/NEON is present, else kMulTable).
 enum class Kernel : std::uint8_t {
-  kScalar,       // branch-per-byte log/exp lookups (the original seed kernel)
-  kMulTable,     // lazily-built 256-entry per-coefficient table, 8x unrolled
-  kSplitNibble,  // two 16-entry low/high nibble tables, autovectorizable
-  kSimd,         // split-nibble via pshufb/tbl, AVX2-wide in dot_rows where
-                 // the CPU has it; requires kernel_available()
+  kScalar,    // branch-per-byte log/exp lookups (the original seed kernel)
+  kMulTable,  // lazily-built 256-entry per-coefficient table, 8x unrolled
+  kSimd,      // split-nibble (two 16-entry low/high nibble tables) via
+              // pshufb/tbl, AVX2-wide in dot_rows where the CPU has it;
+              // requires kernel_available()
   kAuto,
 };
 
-// Short stable name: "scalar", "multable", "splitnibble", "simd", "auto".
+// Short stable name: "scalar", "multable", "simd", "auto".
 const char* kernel_name(Kernel k);
 
 // Inverse of kernel_name(); nullopt for any other string. Says nothing about

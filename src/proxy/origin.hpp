@@ -38,10 +38,11 @@ struct OriginConfig {
   double update_interval_s = 0.0;
 };
 
-// What a fetch hands the edge proxy: the immutable cooked document plus the
+// What a fetch hands the edge proxy: the immutable cooked document (owned by
+// the origin's corpus, which keeps it for the origin's lifetime) plus the
 // origin generation it was current at.
 struct Replica {
-  std::shared_ptr<const fleet::CookedDocument> doc;
+  const fleet::CookedDocument* doc = nullptr;
   std::uint64_t generation = 0;
 };
 

@@ -1,52 +1,25 @@
 #include "proxy/proxy.hpp"
 
-#include <utility>
-
 #include "util/check.hpp"
 
 namespace mobiweb::proxy {
 
+namespace {
+
+ServeOutcome serve_replica(const Replica& r, bool stale, ServeSource source) {
+  return ServeOutcome{r.doc, r.generation, stale, source};
+}
+
+}  // namespace
+
 EdgeProxy::EdgeProxy(EdgeProxyConfig config, OriginServer& origin)
     : config_(config), origin_(&origin) {}
-
-void EdgeProxy::touch(Resident& r) {
-  lru_.splice(lru_.begin(), lru_, r.lru);
-}
-
-void EdgeProxy::admit(const fleet::CacheKey& key, Replica replica) {
-  if (const auto it = replicas_.find(key); it != replicas_.end()) {
-    // Refresh in place: newer generation replaces the stamp, recency bumps.
-    it->second.replica = std::move(replica);
-    touch(it->second);
-    return;
-  }
-  if (config_.capacity > 0 && replicas_.size() >= config_.capacity) {
-    const fleet::CacheKey victim = lru_.back();
-    const auto vit = replicas_.find(victim);
-    if (fleet::DocumentCache::admission_weight(*replica.doc) <
-        fleet::DocumentCache::admission_weight(*vit->second.replica.doc)) {
-      ++stats_.admission_rejects;
-      return;  // serve unadmitted: less content per byte than the victim
-    }
-    lru_.pop_back();
-    replicas_.erase(vit);
-    ++stats_.evictions;
-  }
-  lru_.push_front(key);
-  replicas_.emplace(key, Resident{std::move(replica), lru_.begin()});
-}
-
-ServeOutcome EdgeProxy::serve_replica(Resident& r, bool stale,
-                                      ServeSource source) {
-  touch(r);
-  return ServeOutcome{r.replica.doc, r.replica.generation, stale, source};
-}
 
 ServeOutcome EdgeProxy::serve(const fleet::CacheKey& key, double now) {
   const auto it = replicas_.find(key);
   if (it != replicas_.end()) {
     const std::optional<bool> current =
-        origin_->validate(key, it->second.replica.generation, now);
+        origin_->validate(key, it->second.generation, now);
     if (!current.has_value()) {
       // Origin down: the held replica is the best available — serve it, but
       // flagged. The stale bit is set here and nowhere cleared on this path.
@@ -54,14 +27,12 @@ ServeOutcome EdgeProxy::serve(const fleet::CacheKey& key, double now) {
       ++stats_.stale_serves;
       if (metric_failover_ != nullptr) metric_failover_->inc();
       if (metric_stale_ != nullptr) metric_stale_->inc();
-      return serve_replica(it->second, /*stale=*/true,
-                           ServeSource::kStaleFailover);
+      return serve_replica(it->second, /*stale=*/true, ServeSource::kStaleFailover);
     }
     if (*current) {
       ++stats_.fresh_hits;
       if (metric_fresh_ != nullptr) metric_fresh_->inc();
-      return serve_replica(it->second, /*stale=*/false,
-                           ServeSource::kFreshHit);
+      return serve_replica(it->second, /*stale=*/false, ServeSource::kFreshHit);
     }
     // Held but outdated; the origin just answered the validation, but it may
     // have faded before the (heavier) refresh round-trip completes.
@@ -71,13 +42,12 @@ ServeOutcome EdgeProxy::serve(const fleet::CacheKey& key, double now) {
       ++stats_.stale_serves;
       if (metric_failover_ != nullptr) metric_failover_->inc();
       if (metric_stale_ != nullptr) metric_stale_->inc();
-      return serve_replica(it->second, /*stale=*/true,
-                           ServeSource::kStaleFailover);
+      return serve_replica(it->second, /*stale=*/true, ServeSource::kStaleFailover);
     }
-    it->second.replica = std::move(*fresh);
+    it->second = *fresh;
     ++stats_.refreshes;
     if (metric_refresh_ != nullptr) metric_refresh_->inc();
-    return serve_replica(it->second, /*stale=*/false, ServeSource::kRefreshed);
+    return serve_replica(*fresh, /*stale=*/false, ServeSource::kRefreshed);
   }
 
   std::optional<Replica> fetched = origin_->fetch(key, now);
@@ -88,12 +58,10 @@ ServeOutcome EdgeProxy::serve(const fleet::CacheKey& key, double now) {
     if (metric_unavailable_ != nullptr) metric_unavailable_->inc();
     return ServeOutcome{};  // cold and cut off: nothing to serve at all
   }
-  ServeOutcome out{fetched->doc, fetched->generation, /*stale=*/false,
-                   ServeSource::kOriginFetch};
+  replicas_.emplace(key, *fetched);
   ++stats_.origin_fetches;
   if (metric_fetch_ != nullptr) metric_fetch_->inc();
-  admit(key, std::move(*fetched));
-  return out;
+  return serve_replica(*fetched, /*stale=*/false, ServeSource::kOriginFetch);
 }
 
 bool EdgeProxy::holds(const fleet::CacheKey& key) const {
@@ -104,20 +72,15 @@ std::uint64_t EdgeProxy::replica_generation(const fleet::CacheKey& key) const {
   const auto it = replicas_.find(key);
   MOBIWEB_CHECK_MSG(it != replicas_.end(),
                     "EdgeProxy: replica_generation of a key not held");
-  return it->second.replica.generation;
+  return it->second.generation;
 }
 
 void EdgeProxy::warm(const fleet::CacheKey& key, double now) {
   std::optional<Replica> fetched = origin_->fetch(key, now);
-  if (fetched.has_value()) admit(key, std::move(*fetched));
+  if (fetched.has_value()) replicas_.insert_or_assign(key, *fetched);
 }
 
-void EdgeProxy::drop(const fleet::CacheKey& key) {
-  const auto it = replicas_.find(key);
-  if (it == replicas_.end()) return;
-  lru_.erase(it->second.lru);
-  replicas_.erase(it);
-}
+void EdgeProxy::drop(const fleet::CacheKey& key) { replicas_.erase(key); }
 
 void EdgeProxy::set_metrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) {

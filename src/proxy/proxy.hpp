@@ -1,11 +1,12 @@
-// Edge proxy: a bounded replica cache between the origin server and the
-// wireless channel.
+// Edge proxy: a replica cache between the origin server and the wireless
+// channel.
 //
-// A proxy holds pre-encoded replicas (fleet::CookedDocument + origin
-// generation stamp) under the same LRU + IC-weighted admission policy as the
-// bounded fleet::DocumentCache: a replica is admitted only if its information
-// density (content per cooked wire byte) is at least the LRU victim's, so a
-// burst of cold low-value documents cannot flush the dense working set.
+// A proxy holds replicas (a pointer to the origin's fleet::CookedDocument plus
+// the origin generation stamp it was fetched at). Every replica it fetches
+// stays held until drop(); a refresh replaces the stamp in place. The cooked
+// bytes themselves live in the origin's fleet::DocumentCache, which keeps
+// every document it builds for its lifetime, so a replica's pointer never
+// dangles while the origin lives.
 //
 // serve() is the whole protocol. With the origin reachable the replica is
 // validated (current -> fresh hit; stale -> refreshed from the origin); with
@@ -23,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 
 #include "obs/metrics.hpp"
@@ -32,8 +32,6 @@
 namespace mobiweb::proxy {
 
 struct EdgeProxyConfig {
-  // Maximum resident replicas. 0 = unbounded.
-  std::size_t capacity = 0;
   std::uint32_t proxy_id = 0;  // label in traces/metrics
 };
 
@@ -46,7 +44,7 @@ enum class ServeSource {
 };
 
 struct ServeOutcome {
-  std::shared_ptr<const fleet::CookedDocument> doc;  // nullptr iff kUnavailable
+  const fleet::CookedDocument* doc = nullptr;  // nullptr iff kUnavailable
   std::uint64_t generation = 0;
   // True whenever the origin did not validate the bytes as current at serve
   // time. Never false on a failover path.
@@ -61,8 +59,6 @@ struct EdgeProxyStats {
   long stale_serves = 0;     // kStaleFailover servings
   long failovers = 0;        // origin found down at a serve point
   long unavailable = 0;      // kUnavailable servings
-  long evictions = 0;
-  long admission_rejects = 0;
 };
 
 class EdgeProxy {
@@ -94,21 +90,9 @@ class EdgeProxy {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
-  struct Resident {
-    Replica replica;
-    std::list<fleet::CacheKey>::iterator lru;  // front = hottest
-  };
-
-  // LRU + IC-weighted admission, mirroring fleet::DocumentCache::admit.
-  void admit(const fleet::CacheKey& key, Replica replica);
-  void touch(Resident& r);
-  [[nodiscard]] ServeOutcome serve_replica(Resident& r, bool stale,
-                                           ServeSource source);
-
   EdgeProxyConfig config_;
   OriginServer* origin_;
-  std::map<fleet::CacheKey, Resident> replicas_;
-  std::list<fleet::CacheKey> lru_;
+  std::map<fleet::CacheKey, Replica> replicas_;
   EdgeProxyStats stats_;
   obs::Counter* metric_fresh_ = nullptr;
   obs::Counter* metric_refresh_ = nullptr;

@@ -49,7 +49,7 @@ class ProxyResilientSession::Edge final : public transmit::EdgeHooks {
         break;  // unreachable with a non-null doc
     }
     if (waited) ++px.origin_suspensions;
-    doc_ = std::move(s.doc);
+    doc_ = s.doc;
     serving_gen_ = s.generation;
     serving_stale = s.stale;
     driver.serve(doc_->transmitter, serving_stale);
@@ -132,7 +132,7 @@ class ProxyResilientSession::Edge final : public transmit::EdgeHooks {
   ProxyResilientSession& s_;
   const fleet::CacheKey& key_;
   double handoff_checked_;
-  std::shared_ptr<const fleet::CookedDocument> doc_;
+  const fleet::CookedDocument* doc_ = nullptr;
   std::uint64_t serving_gen_ = 0;
   std::uint64_t held_gen_ = 0;
   std::optional<transmit::ClientReceiver> receiver_;

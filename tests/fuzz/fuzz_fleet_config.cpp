@@ -18,10 +18,10 @@
 // 0.5; 10..31 a negative and 32..255 a non-negative value of magnitude
 // u16 / 65535 * scale, the u16 big-endian in the next two bytes.
 //   fleet: sessions (1 byte, 0..64), seed (2 bytes), corpus size (1..4),
-//     cache capacity (0..4), gamma count (1..3), gammas (scale 4), alpha (1),
-//     caching (bool), relevance threshold (1.5), bandwidth (40000), request
-//     delay (4), max_rounds (-2..40), arrival spread (100), zipf_s (3),
-//     arrival rate (10), record_outcomes (bool)
+//     gamma count (1..3), gammas (scale 4), alpha (1), caching (bool),
+//     relevance threshold (1.5), bandwidth (40000), request delay (4),
+//     max_rounds (-2..40), arrival spread (100), zipf_s (3), arrival rate
+//     (10), record_outcomes (bool)
 //   link: engaged (bool), then mean up / mean down of a Markov model (20)
 //   retry: budget (-2..40), initial timeout (2), multiplier (4), max backoff
 //     (60), jitter (1), deadline (200)
@@ -80,7 +80,6 @@ fleet::FleetConfig take_config(FuzzInput& in) {
   c.shards = 1;
   c.seed = in.take_in_range(0, 0xffff);
   c.corpus.corpus_size = static_cast<std::size_t>(take_int(in, 1, 4));
-  c.corpus.capacity = static_cast<std::size_t>(take_int(in, 0, 4));
   c.gammas.assign(static_cast<std::size_t>(take_int(in, 1, 3)), 0.0);
   for (double& g : c.gammas) g = take_double(in, 4.0);
   c.alpha = take_double(in, 1.0);

@@ -22,8 +22,7 @@ using mobiweb::Rng;
 namespace {
 
 std::vector<gf::Kernel> available_kernels() {
-  std::vector<gf::Kernel> ks = {gf::Kernel::kScalar, gf::Kernel::kMulTable,
-                                gf::Kernel::kSplitNibble};
+  std::vector<gf::Kernel> ks = {gf::Kernel::kScalar, gf::Kernel::kMulTable};
   if (gf::kernel_available(gf::Kernel::kSimd)) ks.push_back(gf::Kernel::kSimd);
   ks.push_back(gf::Kernel::kAuto);
   return ks;
@@ -52,19 +51,16 @@ class ParallelThresholdGuard {
 TEST(GfKernels, NamesAndAvailability) {
   EXPECT_STREQ(gf::kernel_name(gf::Kernel::kScalar), "scalar");
   EXPECT_STREQ(gf::kernel_name(gf::Kernel::kMulTable), "multable");
-  EXPECT_STREQ(gf::kernel_name(gf::Kernel::kSplitNibble), "splitnibble");
   EXPECT_STREQ(gf::kernel_name(gf::Kernel::kSimd), "simd");
   EXPECT_STREQ(gf::kernel_name(gf::Kernel::kAuto), "auto");
   EXPECT_TRUE(gf::kernel_available(gf::Kernel::kScalar));
   EXPECT_TRUE(gf::kernel_available(gf::Kernel::kMulTable));
-  EXPECT_TRUE(gf::kernel_available(gf::Kernel::kSplitNibble));
   EXPECT_TRUE(gf::kernel_available(gf::Kernel::kAuto));
 }
 
 TEST(GfKernels, ParseKernelNameRoundTripsAndRejectsUnknown) {
   for (const gf::Kernel k : {gf::Kernel::kScalar, gf::Kernel::kMulTable,
-                             gf::Kernel::kSplitNibble, gf::Kernel::kSimd,
-                             gf::Kernel::kAuto}) {
+                             gf::Kernel::kSimd, gf::Kernel::kAuto}) {
     EXPECT_EQ(gf::parse_kernel_name(gf::kernel_name(k)), k);
   }
   // Typos, case changes and padding are errors, never a silent kAuto.
@@ -82,8 +78,8 @@ TEST(GfKernels, AutoResolvesToConcreteAvailableKernel) {
 
 TEST(GfKernels, SetKernelRoundTrip) {
   const gf::Kernel before = gf::active_kernel();
-  gf::set_kernel(gf::Kernel::kSplitNibble);
-  EXPECT_EQ(gf::active_kernel(), gf::Kernel::kSplitNibble);
+  gf::set_kernel(gf::Kernel::kMulTable);
+  EXPECT_EQ(gf::active_kernel(), gf::Kernel::kMulTable);
   gf::set_kernel(before);
   EXPECT_EQ(gf::active_kernel(), before);
 }

@@ -1,5 +1,5 @@
 // Edge proxy tier: reconnect reconciliation, origin failover with
-// stale-replica flagging, the bounded replica cache, scripted cell handoffs,
+// stale-replica flagging, the replica cache, scripted cell handoffs,
 // and the proxied resilient session driver on the real frame/CRC stack.
 //
 // The load-bearing safety property pinned here: a replica the origin did not
@@ -347,30 +347,27 @@ TEST(EdgeProxy, StaleReplicaNeverServedUnflagged) {
   EXPECT_GT(edge.stats().stale_serves, 0);
 }
 
-TEST(EdgeProxy, LruEvictsAndIcAdmissionFilters) {
-  proxy::OriginServer origin(origin_config());
-  // gamma 1.0 cooks the densest set (least redundancy per content byte);
-  // gamma 3.0 the sparsest — same document, so only the denominator moves.
-  const fleet::CacheKey dense{0, 1.0};
-  const fleet::CacheKey sparse{0, 3.0};
-  {
-    proxy::EdgeProxy edge({.capacity = 1}, origin);
-    (void)edge.serve(dense, 0.0);
-    const proxy::ServeOutcome r = edge.serve(sparse, 1.0);
-    ASSERT_NE(r.doc, nullptr);  // served even when not admitted
-    EXPECT_EQ(edge.stats().admission_rejects, 1);
-    EXPECT_TRUE(edge.holds(dense));
-    EXPECT_FALSE(edge.holds(sparse));
-    EXPECT_EQ(edge.serve(dense, 2.0).source, proxy::ServeSource::kFreshHit);
-  }
-  {
-    proxy::EdgeProxy edge({.capacity = 1}, origin);
-    (void)edge.serve(sparse, 0.0);
-    (void)edge.serve(dense, 1.0);  // denser incoming displaces the victim
-    EXPECT_EQ(edge.stats().evictions, 1);
-    EXPECT_TRUE(edge.holds(dense));
-    EXPECT_FALSE(edge.holds(sparse));
-  }
+TEST(EdgeProxy, ServesTheOriginCorpusOwnDocument) {
+  // A replica is a pointer into the origin's corpus, never a copy: every
+  // serving path hands out the very document the corpus built.
+  proxy::OriginConfig oc = origin_config();
+  oc.outage = std::make_shared<channel::FaultSchedule>(
+      std::vector<Window>{{5.0, 10.0}});
+  proxy::OriginServer origin(oc);
+  proxy::EdgeProxy edge({}, origin);
+  const fleet::CacheKey key{2, 1.5};
+  const fleet::CookedDocument* own = origin.corpus().get(key);
+  const proxy::ServeOutcome fetched = edge.serve(key, 0.0);
+  EXPECT_EQ(fetched.source, proxy::ServeSource::kOriginFetch);
+  EXPECT_EQ(fetched.doc, own);
+  EXPECT_EQ(edge.serve(key, 1.0).doc, own);  // fresh hit
+  origin.publish(2);
+  const proxy::ServeOutcome refreshed = edge.serve(key, 2.0);
+  EXPECT_EQ(refreshed.source, proxy::ServeSource::kRefreshed);
+  EXPECT_EQ(refreshed.doc, own);
+  const proxy::ServeOutcome failover = edge.serve(key, 6.0);
+  EXPECT_EQ(failover.source, proxy::ServeSource::kStaleFailover);
+  EXPECT_EQ(failover.doc, own);
 }
 
 TEST(EdgeProxy, MetricsMirrorServeOutcomes) {
