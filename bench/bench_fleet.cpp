@@ -1,6 +1,6 @@
 // Fleet-scale serving benchmark: one server process, a shared pre-encoded
 // document cache, and 1k/10k/100k concurrent weakly-connected sessions run to
-// termination on the sharded discrete-event engine (src/fleet).
+// termination on the sharded fleet engine (src/fleet).
 //
 // Reported per scale:
 //   sessions/s      engine throughput (sessions retired per wall second)
@@ -10,6 +10,7 @@
 //   p50/p99         session-time tails on the simulated clock (exact order
 //                   statistics; --json adds p95/p999/mean and a Student-t CI)
 //   completed/gave_up and cache hit/miss accounting
+// and, after the table, the process's peak resident set size.
 //
 // Flags: --sessions=N (single scale instead of the sweep), --million (adds an
 // opt-in 1M-session scale), --shards=S, --gamma=G, --alpha=A, --corpus=D,
@@ -26,7 +27,10 @@
 //   --zipf=S        Zipf(S) document popularity instead of round-robin
 //   --arrival=HZ    Poisson session arrivals at HZ instead of the uniform
 //                   stagger over --spread
+#include <sys/resource.h>
+
 #include <cinttypes>
+#include <cstdio>
 #include <memory>
 
 #include "bench_common.hpp"
@@ -189,5 +193,10 @@ int main(int argc, char** argv) {
   bench::print_table("Fleet scaling (gamma = " + TextTable::fmt(base.gammas[0], 1) +
                          ", alpha = " + TextTable::fmt(base.alpha, 2) + ")",
                      table);
+  // Human-readable output only: the --json and --timeline documents are
+  // goldened, and RSS is the host's, not the simulation's.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  std::printf("peak RSS: %.1f MB\n", static_cast<double>(usage.ru_maxrss) / 1024.0);
   return 0;
 }

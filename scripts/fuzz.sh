@@ -5,7 +5,9 @@
 # -DMOBIWEB_FUZZ=ON and runs each for a bounded time over its seed corpus,
 # collecting new coverage-increasing inputs back into the corpus directory.
 # Without clang, falls back to building the plain replay drivers and running
-# the checked-in corpora once — the same thing `ctest -L fuzz` does.
+# the checked-in corpora once — the same thing `ctest -L fuzz` does, except
+# that a replay ctest reports "Not Run", or an empty fuzz label, fails the
+# script (scripts/ctest_strict.sh).
 #
 # Usage:
 #   scripts/fuzz.sh [seconds-per-target] [target...]
@@ -64,5 +66,5 @@ else
   for t in $TARGETS; do
     corpus_for "$t" >/dev/null  # validate the name even in replay mode
   done
-  ctest --test-dir "$BUILD" -L fuzz --output-on-failure
+  "$ROOT/scripts/ctest_strict.sh" --test-dir "$BUILD" -L fuzz --output-on-failure
 fi

@@ -14,6 +14,10 @@
 #   proxy    — edge tier: proxied engine walk across shards, origin-clone
 #              streams, the proxied bench smoke (test_proxy / bench_proxy)
 #
+# A test ctest reports "Not Run" (say, a binary missing from the build list
+# below) or a selection that matches nothing fails the script
+# (scripts/ctest_strict.sh).
+#
 # Usage: scripts/tsan_fleet.sh [extra ctest args...]
 set -euo pipefail
 
@@ -30,7 +34,8 @@ cmake --build "$BUILD" -j \
   test_stats test_stats_workload test_proxy test_timeseries bench_fleet bench_proxy
 
 export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1}
-ctest --test-dir "$BUILD" --output-on-failure -L 'fleet|obs|coding|stats|proxy' "$@"
+"$ROOT/scripts/ctest_strict.sh" --test-dir "$BUILD" --output-on-failure \
+  -L 'fleet|obs|coding|stats|proxy' "$@"
 
 # Weak-connectivity / workload knobs under TSan: per-session outage clones,
 # the suspend/backoff path, Zipf document draws and Poisson arrivals all run

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
-#include <queue>
 #include <string>
 #include <utility>
 
@@ -16,17 +15,6 @@
 namespace mobiweb::fleet {
 
 namespace {
-
-// Min-heap event: next round of session `index` fires at time `t`. Ties break
-// on the session index so processing order is deterministic.
-struct Event {
-  double t = 0.0;
-  std::uint32_t index = 0;
-  friend bool operator>(const Event& a, const Event& b) {
-    if (a.t != b.t) return a.t > b.t;
-    return a.index > b.index;
-  }
-};
 
 // A finished session still in the running for trace retention, by its
 // ranking key. Only replayed into a full SessionTrace after the global tail
@@ -64,7 +52,7 @@ constexpr long FleetProxyTotals::* kProxyCounters[] = {
 };
 
 // The fleet-wide round parameters of every walk; m, n and the frame time are
-// set per document (FleetEngine::emplace_walk).
+// set per document (FleetEngine::make_walk).
 sim::TransferConfig round_config(const FleetConfig& c) {
   sim::TransferConfig base;
   base.alpha = c.alpha;
@@ -220,8 +208,7 @@ double FleetEngine::start_of(std::size_t i) const {
                       : 0.0;
 }
 
-sim::SessionWalk& FleetEngine::emplace_walk(std::vector<sim::SessionWalk>& walks,
-                                            std::size_t i, const CookedDocument& doc) const {
+sim::SessionWalk FleetEngine::make_walk(std::size_t i, const CookedDocument& doc) const {
   sim::TransferConfig shape = round_config(config_);
   shape.m = static_cast<int>(doc.transmitter.m());
   shape.n = static_cast<int>(doc.transmitter.n());
@@ -230,8 +217,8 @@ sim::SessionWalk& FleetEngine::emplace_walk(std::vector<sim::SessionWalk>& walks
   // Link fades and the edge tier both engage the retry policy.
   const sim::RetryConfig* retry =
       config_.outage != nullptr || proxied ? &config_.retry : nullptr;
-  sim::SessionWalk& w = walks.emplace_back(doc.clear_content, doc.total_content, shape,
-                                           retry, proxied ? &config_.proxy->model : nullptr);
+  sim::SessionWalk w(doc.clear_content, doc.total_content, shape, retry,
+                     proxied ? &config_.proxy->model : nullptr);
   w.corrupt_with(Rng(session_seed(config_.seed, i)));
   w.start_at(start_of(i));
   if (config_.outage != nullptr) {
@@ -249,13 +236,12 @@ sim::SessionWalk& FleetEngine::emplace_walk(std::vector<sim::SessionWalk>& walks
 
 obs::SessionTrace FleetEngine::explain(std::size_t i) {
   MOBIWEB_CHECK_MSG(i < config_.sessions, "FleetEngine::explain: no such session");
-  std::vector<sim::SessionWalk> one;
-  sim::SessionWalk& walk = emplace_walk(one, i, *cache_.get(key_of(i)));
+  sim::SessionWalk walk = make_walk(i, *cache_.get(key_of(i)));
   obs::SessionTrace trace;
   trace.capture_events(true);
   sim::WalkSink sink{&trace, nullptr};
   walk.report_to(&sink);
-  while (!walk.done()) walk.step();
+  walk.run();
   const sim::TransferResult& r = walk.result();
   std::string label = "session " + std::to_string(i);
   if (r.degraded) label += " [degraded]";
@@ -351,25 +337,12 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       }
     };
 
-    // Materialize this shard's walks and seed its event heap. A walk reads
-    // its document's content profile in place; the cache keeps every document
-    // it builds at one address for its lifetime, so nothing is pinned.
-    const std::size_t count = hi - lo;
-    std::vector<const CookedDocument*> docs(count);
-    std::vector<sim::SessionWalk> walks;
-    walks.reserve(count);
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t i = lo + k;
-      docs[k] = cache_.get(key_of(i));
-      sim::SessionWalk& w = emplace_walk(walks, i, *docs[k]);
-      if (telem) w.report_to(&sink);
-      heap.push(Event{w.start(), static_cast<std::uint32_t>(i)});
-    }
-
-    const auto finish = [&](std::size_t k) {
-      const std::size_t index = lo + k;
-      const sim::SessionWalk& w = walks[k];
+    // One session at a time, in index order: walks share no state, so each
+    // runs to its end alone and everything `finish` folds is order-free. A
+    // walk reads its document's content profile in place; the cache keeps
+    // every document it builds at one address for its lifetime.
+    const auto finish = [&](std::size_t index, const sim::SessionWalk& w,
+                            const CookedDocument& doc) {
       const sim::TransferResult& r = w.result();
       FleetResult& sum = tot.sum;
       sum.completed += r.completed ? 1 : 0;
@@ -380,7 +353,7 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       sum.frames_lost += r.frames_lost;
       sum.rounds += r.rounds;
       sum.suspensions += r.suspensions;
-      sum.bytes_sent += static_cast<unsigned long long>(r.packets) * docs[k]->frame_size;
+      sum.bytes_sent += static_cast<unsigned long long>(r.packets) * doc.frame_size;
       times[index] = r.time;
       content[index] = r.content;
       backoff[index] = r.backoff_s;
@@ -403,17 +376,12 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
             r, w.proxy()};
       }
     };
-
-    // Drain the heap: one event = one round of one walk.
-    while (!heap.empty()) {
-      const Event ev = heap.top();
-      heap.pop();
-      const std::size_t k = ev.index - lo;
-      if (const std::optional<double> next = walks[k].step()) {
-        heap.push(Event{*next, ev.index});
-      } else {
-        finish(k);
-      }
+    for (std::size_t i = lo; i < hi; ++i) {
+      const CookedDocument& doc = *cache_.get(key_of(i));
+      sim::SessionWalk w = make_walk(i, doc);
+      if (telem) w.report_to(&sink);
+      w.run();
+      finish(i, w, doc);
     }
   });
 

@@ -19,7 +19,7 @@
 // generation mismatch drops the cached packets for re-fetch.
 //
 // The walk itself is sim::SessionWalk with an edge tier engaged; the fleet
-// engine's proxied mode (FleetConfig::proxy) steps the same walk, so
+// engine's proxied mode (FleetConfig::proxy) runs the same walk, so
 // per-session results are EXPECT_EQ-able (tests/test_fleet.cpp pins it).
 // With warm_hit = 1, a static corpus (update_interval_s = 0), handoff_rate =
 // 0, and no origin_up hook, the walk is bit-identical to

@@ -96,19 +96,20 @@ void SessionWalk::seed_streams(std::uint64_t jitter_seed, std::uint64_t proxy_se
   weak_->proxy_rng.reseed(proxy_seed);
 }
 
-std::optional<double> SessionWalk::step() {
-  MOBIWEB_CHECK_MSG(!done_, "SessionWalk::step: the walk has already ended");
-  if (!started_) {
-    started_ = true;
-    if (sink_ != nullptr) sink_->start(clock_);
-    // The initial request attaches to the assigned proxy before round 1;
-    // degrading here ends the session with zero rounds.
-    if (has_edge()) {
-      if (!acquire_proxy()) return std::nullopt;
-      weak_->held_gen = weak_->replica_gen;
-    }
+void SessionWalk::run() {
+  MOBIWEB_CHECK_MSG(!done_, "SessionWalk::run: the walk has already ended");
+  if (sink_ != nullptr) sink_->start(clock_);
+  // The initial request attaches to the assigned proxy before round 1;
+  // degrading here ends the session with zero rounds.
+  if (has_edge()) {
+    if (!acquire_proxy()) return;
+    weak_->held_gen = weak_->replica_gen;
   }
+  while (step()) {
+  }
+}
 
+bool SessionWalk::step() {
   ++result_.rounds;
   if (sink_ != nullptr) sink_->round_start(result_.rounds, clock_);
   // The frame loop runs on local copies of the per-frame state and writes
@@ -190,14 +191,14 @@ std::optional<double> SessionWalk::step() {
       while (tries < kMaxFeedbackTries && (*weak_->feedback_lost)()) ++tries;
     }
   } else {
-    if (!suspend_while_link_down()) return std::nullopt;
+    if (!suspend_while_link_down()) return false;
     // Cell handoff: one proxy-stream Bernoulli per stalled round, drawn
     // even at handoff_rate = 0 so later draws do not depend on the rate.
     if (has_edge() && weak_->proxy_rng.next_bernoulli(weak_->edge->handoff_rate)) {
       ++weak_->stats.handoffs;
       charge(weak_->edge->handoff_delay_s);
       if (sink_ != nullptr) sink_->handoff(clock_, weak_->edge->handoff_delay_s);
-      if (!acquire_proxy()) return std::nullopt;
+      if (!acquire_proxy()) return false;
       reconcile();
     }
     // Re-request until one message survives the back channel. Every
@@ -216,10 +217,10 @@ std::optional<double> SessionWalk::step() {
   }
   charge(static_cast<double>(tries) * request_delay_);
   if (!caching_) drop_cache();
-  return clock_;
+  return true;
 }
 
-std::optional<double> SessionWalk::end(bool TransferResult::*verdict) {
+bool SessionWalk::end(bool TransferResult::*verdict) {
   result_.*verdict = true;
   result_.content = result_.completed ? total_content_ : content_;
   result_.time =
@@ -227,7 +228,7 @@ std::optional<double> SessionWalk::end(bool TransferResult::*verdict) {
   if (weak_ != nullptr) weak_->stats.ended_stale = weak_->serving_stale;
   if (sink_ != nullptr) sink_->end(result_, clock_);
   done_ = true;
-  return std::nullopt;
+  return false;
 }
 
 // A stall on both clocks, charged to the transfer time.
@@ -394,7 +395,7 @@ ProxiedTransferResult run_oracle(SessionWalk& walk, const TransferConfig& base,
   WalkSink sink;
   sink.trace = base.trace;
   if (base.trace != nullptr) walk.report_to(&sink);
-  while (!walk.done()) walk.step();
+  walk.run();
   walk.report_to(nullptr);
   return {walk.result(), walk.proxy()};
 }

@@ -1,4 +1,4 @@
-// fleet: sharded discrete-event engine + shared pre-encoded document cache.
+// fleet: sharded engine + shared pre-encoded document cache.
 //
 // The load-bearing properties pinned here:
 //   * determinism — (seed, shards) reproduces aggregates bit-for-bit, and

@@ -808,96 +808,21 @@ TEST(ProxiedTransfer, InputValidation) {
 
 // ---- SessionWalk ----
 
-TEST(SessionWalk, InterleavedWalksMatchTheirStandaloneOracleRuns) {
-  // Two walks with their own seeds, Markov link fades, and an edge tier with
-  // origin outages and handoffs, stepped one round at a time in alternation
-  // (what a fleet event heap does). Each must end exactly where
-  // simulate_proxied_transfer ends when it runs the same session alone.
-  const mobiweb::channel::MarkovOutageModel link =
-      mobiweb::channel::MarkovOutageModel::with_duty_cycle(0.3, 2.0);
-  const mobiweb::channel::MarkovOutageModel origin =
-      mobiweb::channel::MarkovOutageModel::with_duty_cycle(0.4, 3.0);
-  sim::ProxiedTransferConfig cfg = transparent_proxy_config();
-  cfg.base.n = 44;
-  cfg.base.alpha = 0.3;
-  cfg.retry.retry_budget = 60;
-  cfg.proxy.warm_hit = 0.5;
-  cfg.proxy.replica_age_mean_s = 20.0;
-  cfg.proxy.update_interval_s = 5.0;
-  cfg.proxy.handoff_rate = 0.3;
+TEST(SessionWalk, RunOnAFinishedWalkThrows) {
+  // A walk runs once: a second run() would replay nothing and report the
+  // verdict twice, so it throws instead, with or without an edge tier.
+  const sim::ProxiedTransferConfig cfg = transparent_proxy_config();
   const std::vector<double> content = uniform_content(cfg.base.m);
+  sim::SessionWalk plain(content, cfg.base);
+  plain.corrupt_with(Rng(11));
+  plain.run();
+  EXPECT_TRUE(plain.result().completed);
+  EXPECT_THROW(plain.run(), ContractViolation);
 
-  struct Streams {
-    std::uint64_t corrupt, link, origin, jitter, proxy;
-  };
-  const Streams streams[2] = {{11, 12, 13, 14, 15}, {21, 22, 23, 24, 25}};
-  std::vector<sim::SessionWalk> walks;
-  for (const Streams& s : streams) {
-    sim::SessionWalk& w =
-        walks.emplace_back(content, cfg.base, &cfg.retry, &cfg.proxy);
-    w.corrupt_with(Rng(s.corrupt));
-    w.link_with(link.session_clone(), Rng(s.link));
-    w.origin_with(origin.session_clone(), Rng(s.origin));
-    w.seed_streams(s.jitter, s.proxy);
-  }
-  int steps[2] = {0, 0};
-  while (!walks[0].done() || !walks[1].done()) {
-    for (int k = 0; k < 2; ++k) {
-      if (walks[k].done()) continue;
-      walks[k].step();
-      ++steps[k];
-    }
-  }
-
-  const auto hook = [](const mobiweb::channel::OutageModel& prototype,
-                       std::uint64_t seed) {
-    const std::shared_ptr<mobiweb::channel::OutageModel> model =
-        prototype.session_clone();
-    const auto rng = std::make_shared<Rng>(seed);
-    return [model, rng](double t) { return model->link_up(t, *rng); };
-  };
-  int handoffs = 0;
-  for (int k = 0; k < 2; ++k) {
-    const Streams& s = streams[k];
-    sim::ProxiedTransferConfig pc = cfg;
-    pc.base.link_up = hook(link, s.link);
-    pc.origin_up = hook(origin, s.origin);
-    pc.jitter_seed = s.jitter;
-    pc.proxy_seed = s.proxy;
-    Rng rng(s.corrupt);
-    const sim::ProxiedTransferResult want =
-        sim::simulate_proxied_transfer(content, pc, rng);
-    const sim::TransferResult& r = walks[k].result();
-    const sim::TransferResult& w = want.transfer;
-    EXPECT_GT(steps[k], 2);  // the walks really did interleave
-    EXPECT_EQ(r.time, w.time);
-    EXPECT_EQ(r.packets, w.packets);
-    EXPECT_EQ(r.rounds, w.rounds);
-    EXPECT_EQ(r.completed, w.completed);
-    EXPECT_EQ(r.aborted_irrelevant, w.aborted_irrelevant);
-    EXPECT_EQ(r.gave_up, w.gave_up);
-    EXPECT_EQ(r.degraded, w.degraded);
-    EXPECT_EQ(r.content, w.content);
-    EXPECT_EQ(r.frames_lost, w.frames_lost);
-    EXPECT_EQ(r.suspensions, w.suspensions);
-    EXPECT_EQ(r.request_attempts, w.request_attempts);
-    EXPECT_EQ(r.backoff_s, w.backoff_s);
-    const sim::ProxyStats p = walks[k].proxy();
-    const sim::ProxyStats& q = want.proxy;
-    EXPECT_EQ(p.replica_hits, q.replica_hits);
-    EXPECT_EQ(p.stale_serves, q.stale_serves);
-    EXPECT_EQ(p.failovers, q.failovers);
-    EXPECT_EQ(p.handoffs, q.handoffs);
-    EXPECT_EQ(p.origin_fetches, q.origin_fetches);
-    EXPECT_EQ(p.origin_suspensions, q.origin_suspensions);
-    EXPECT_EQ(p.reconciliations, q.reconciliations);
-    EXPECT_EQ(p.packets_refetched, q.packets_refetched);
-    EXPECT_EQ(p.stale_frames, q.stale_frames);
-    EXPECT_EQ(p.ended_stale, q.ended_stale);
-    EXPECT_EQ(p.origin_generation_bumps, q.origin_generation_bumps);
-    EXPECT_EQ(p.reconcile_dropped_packets, q.reconcile_dropped_packets);
-    handoffs += p.handoffs;
-  }
-  EXPECT_GT(handoffs, 0);  // the edge tier was exercised, not just attached
-  EXPECT_THROW(walks[0].step(), ContractViolation);
+  sim::SessionWalk edge(content, cfg.base, &cfg.retry, &cfg.proxy);
+  edge.corrupt_with(Rng(21));
+  edge.seed_streams(24, 25);
+  edge.run();
+  EXPECT_TRUE(edge.result().completed);
+  EXPECT_THROW(edge.run(), ContractViolation);
 }
