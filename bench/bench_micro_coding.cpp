@@ -19,7 +19,6 @@
 
 #include "bench_common.hpp"
 #include "gf256/gf256.hpp"
-#include "gf256/matrix.hpp"
 #include "ida/ida.hpp"
 #include "packet/packet.hpp"
 #include "util/crc.hpp"
@@ -59,20 +58,11 @@ void BM_GfMulAddRow(benchmark::State& state, gf::Kernel kernel) {
                           static_cast<int64_t>(n));
 }
 
-void BM_MatrixInverse(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const gf::Matrix v = gf::vandermonde(n, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(v.inverse());
-  }
-}
-BENCHMARK(BM_MatrixInverse)->Arg(10)->Arg(40)->Arg(100);
-
 void BM_IdaEncode(benchmark::State& state) {
   // The paper's document shape: 10240 bytes, 40 raw -> 60 cooked.
   const Bytes payload = random_bytes(10240, 3);
   const ida::Encoder enc(40, 60);
-  (void)ida::systematic_generator(60, 40);  // warm the cache
+  (void)ida::systematic_generator(40);  // warm the generator table
   for (auto _ : state) {
     benchmark::DoNotOptimize(enc.encode_payload(ByteSpan(payload), 256));
   }
@@ -84,7 +74,7 @@ void BM_IdaEncodeParallel(benchmark::State& state) {
   // Same shape, forced through the thread-pool sharded path.
   const Bytes payload = random_bytes(10240, 3);
   const ida::Encoder enc(40, 60);
-  (void)ida::systematic_generator(60, 40);
+  (void)ida::systematic_generator(40);
   const std::size_t prev = ida::set_parallel_threshold(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(enc.encode_payload(ByteSpan(payload), 256));
@@ -95,7 +85,7 @@ void BM_IdaEncodeParallel(benchmark::State& state) {
 BENCHMARK(BM_IdaEncodeParallel);
 
 void BM_IdaDecodeWorstCase(benchmark::State& state) {
-  // Decode from redundancy-only packets (full matrix inversion + multiply).
+  // Decode from redundancy-only packets: every raw packet is erased (k = m).
   const Bytes payload = random_bytes(10240, 4);
   const ida::Encoder enc(40, 80);
   const auto cooked = enc.encode_payload(ByteSpan(payload), 256);
@@ -204,7 +194,7 @@ double measure_dot_rows_mbps(gf::Kernel k) {
   const Bytes in = random_bytes(kSources * kRow, 16);
   std::vector<const gf::Elem*> srcs;
   for (std::size_t j = 0; j < kSources; ++j) srcs.push_back(in.data() + j * kRow);
-  const gf::Elem* coeffs = ida::systematic_generator(60, kSources).row(kSources);
+  const gf::Elem* coeffs = ida::systematic_generator(kSources).row(kSources);
   Bytes out(kRow);
   return measure_payload_mbps(in.size(), [&] {
     gf::dot_rows(out.data(), srcs, {coeffs, kSources}, kRow, k);

@@ -25,16 +25,6 @@ const Tables& tables() {
 }
 }  // namespace detail
 
-Elem pow(Elem a, unsigned e) {
-  if (e == 0) return 1;
-  if (a == 0) return 0;
-  const auto& t = detail::tables();
-  // Reduce the exponent first: the multiplicative group has order 255, and
-  // log_[a] * e overflows 32 bits for e beyond ~16.9M.
-  const unsigned l = (static_cast<unsigned>(t.log_[a]) * (e % 255u)) % 255u;
-  return t.exp_[l];
-}
-
 namespace {
 
 // Per-coefficient lookup tables for the fast kernels, built lazily: the
@@ -95,15 +85,6 @@ void mul_add_row_scalar(Elem* out, const Elem* in, Elem c, std::size_t n) {
   }
 }
 
-void mul_row_scalar(Elem* out, const Elem* in, Elem c, std::size_t n) {
-  const auto& t = detail::tables();
-  const std::uint16_t lc = t.log_[c];
-  for (std::size_t i = 0; i < n; ++i) {
-    const Elem x = in[i];
-    out[i] = (x == 0) ? 0 : t.exp_[lc + t.log_[x]];
-  }
-}
-
 // ---- per-coefficient full-table kernels, 8x unrolled ----
 
 void mul_add_row_table(Elem* out, const Elem* in, Elem c, std::size_t n) {
@@ -120,22 +101,6 @@ void mul_add_row_table(Elem* out, const Elem* in, Elem c, std::size_t n) {
     out[i + 7] ^= t[in[i + 7]];
   }
   for (; i < n; ++i) out[i] ^= t[in[i]];
-}
-
-void mul_row_table(Elem* out, const Elem* in, Elem c, std::size_t n) {
-  const Elem* t = mul_table(c);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    out[i + 0] = t[in[i + 0]];
-    out[i + 1] = t[in[i + 1]];
-    out[i + 2] = t[in[i + 2]];
-    out[i + 3] = t[in[i + 3]];
-    out[i + 4] = t[in[i + 4]];
-    out[i + 5] = t[in[i + 5]];
-    out[i + 6] = t[in[i + 6]];
-    out[i + 7] = t[in[i + 7]];
-  }
-  for (; i < n; ++i) out[i] = t[in[i]];
 }
 
 // ---- SIMD split-nibble kernels ----
@@ -166,26 +131,6 @@ __attribute__((target("ssse3"))) void mul_add_row_simd(Elem* out, const Elem* in
   }
 }
 
-__attribute__((target("ssse3"))) void mul_row_simd(Elem* out, const Elem* in,
-                                                   Elem c, std::size_t n) {
-  const NibbleTables& t = nibble_tables(c);
-  const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo));
-  const __m128i hi = _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi));
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-    const __m128i pl = _mm_shuffle_epi8(lo, _mm_and_si128(x, mask));
-    const __m128i ph =
-        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(x, 4), mask));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), _mm_xor_si128(pl, ph));
-  }
-  for (; i < n; ++i) {
-    const Elem x = in[i];
-    out[i] = static_cast<Elem>(t.lo[x & 0x0f] ^ t.hi[x >> 4]);
-  }
-}
-
 #elif defined(MOBIWEB_GF_NEON)
 
 bool simd_supported() { return true; }  // NEON is baseline on aarch64
@@ -208,34 +153,12 @@ void mul_add_row_simd(Elem* out, const Elem* in, Elem c, std::size_t n) {
   }
 }
 
-void mul_row_simd(Elem* out, const Elem* in, Elem c, std::size_t n) {
-  const NibbleTables& t = nibble_tables(c);
-  const uint8x16_t lo = vld1q_u8(t.lo);
-  const uint8x16_t hi = vld1q_u8(t.hi);
-  const uint8x16_t mask = vdupq_n_u8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t x = vld1q_u8(in + i);
-    const uint8x16_t pl = vqtbl1q_u8(lo, vandq_u8(x, mask));
-    const uint8x16_t ph = vqtbl1q_u8(hi, vshrq_n_u8(x, 4));
-    vst1q_u8(out + i, veorq_u8(pl, ph));
-  }
-  for (; i < n; ++i) {
-    const Elem x = in[i];
-    out[i] = static_cast<Elem>(t.lo[x & 0x0f] ^ t.hi[x >> 4]);
-  }
-}
-
 #else
 
 bool simd_supported() { return false; }
 
 void mul_add_row_simd(Elem* out, const Elem* in, Elem c, std::size_t n) {
   mul_add_row_table(out, in, c, n);
-}
-
-void mul_row_simd(Elem* out, const Elem* in, Elem c, std::size_t n) {
-  mul_row_table(out, in, c, n);
 }
 
 #endif
@@ -308,22 +231,34 @@ std::size_t dot_rows_wide(Elem*, std::span<const Elem* const>, std::span<const E
 
 // ---- kernel selection ----
 
-// A set but unknown or unavailable name is a configuration error: falling
-// back to kAuto would let a typo pass a scalar-vs-simd comparison vacuously.
-Kernel parse_kernel_env() {
-  const char* v = std::getenv("MOBIWEB_GF_KERNEL");
-  if (v == nullptr || v[0] == '\0') return Kernel::kAuto;
-  const std::optional<Kernel> k = parse_kernel_name(v);
-  MOBIWEB_CHECK_MSG(k.has_value(), std::string("MOBIWEB_GF_KERNEL: unknown kernel '") +
-                                       v + "'");
-  MOBIWEB_CHECK_MSG(kernel_available(*k),
-                    std::string("MOBIWEB_GF_KERNEL: kernel '") + v +
-                        "' not supported on this CPU");
-  return *k;
-}
+// The process-wide kernel, initialised from MOBIWEB_GF_KERNEL. A set but
+// unknown or unavailable name is a configuration error: falling back to kAuto
+// would let a typo pass a scalar-vs-simd comparison vacuously. The error is
+// recorded here and thrown by every use; the initialiser itself never throws,
+// so threads racing on first use never wait on an aborted static
+// initialisation (which hangs some sanitizer runtimes).
+struct KernelState {
+  std::atomic<Kernel> kernel{Kernel::kAuto};
+  std::string error;  // empty when MOBIWEB_GF_KERNEL is unset or usable
 
-std::atomic<Kernel>& kernel_state() {
-  static std::atomic<Kernel> state{parse_kernel_env()};
+  KernelState() {
+    const char* v = std::getenv("MOBIWEB_GF_KERNEL");
+    if (v == nullptr || v[0] == '\0') return;
+    const std::optional<Kernel> k = parse_kernel_name(v);
+    if (!k.has_value()) {
+      error = std::string("MOBIWEB_GF_KERNEL: unknown kernel '") + v + "'";
+    } else if (!kernel_available(*k)) {
+      error = std::string("MOBIWEB_GF_KERNEL: kernel '") + v +
+              "' not supported on this CPU";
+    } else {
+      kernel.store(*k, std::memory_order_relaxed);
+    }
+  }
+};
+
+KernelState& kernel_state() {
+  static KernelState state;
+  MOBIWEB_CHECK_MSG(state.error.empty(), state.error);
   return state;
 }
 
@@ -355,11 +290,11 @@ Kernel resolve_kernel(Kernel k) {
   return simd_supported() ? Kernel::kSimd : Kernel::kMulTable;
 }
 
-Kernel active_kernel() { return kernel_state().load(std::memory_order_relaxed); }
+Kernel active_kernel() { return kernel_state().kernel.load(std::memory_order_relaxed); }
 
 void set_kernel(Kernel k) {
   MOBIWEB_CHECK_MSG(kernel_available(k), "set_kernel: kernel not supported on this CPU");
-  kernel_state().store(k, std::memory_order_relaxed);
+  kernel_state().kernel.store(k, std::memory_order_relaxed);
 }
 
 const Elem* mul_table(Elem c) {
@@ -421,30 +356,8 @@ void dot_rows(Elem* dst, std::span<const Elem* const> srcs,
   }
 }
 
-void mul_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k) {
-  MOBIWEB_PROFILE_SCOPE("gf.mul_row");
-  if (n == 0) return;
-  if (c == 0) {
-    std::memset(out, 0, n);
-    return;
-  }
-  if (c == 1) {
-    std::memmove(out, in, n);
-    return;
-  }
-  switch (resolve_kernel(k)) {
-    case Kernel::kScalar: mul_row_scalar(out, in, c, n); break;
-    case Kernel::kMulTable: mul_row_table(out, in, c, n); break;
-    default: mul_row_simd(out, in, c, n); break;
-  }
-}
-
 void mul_add_row(Elem* out, const Elem* in, Elem c, std::size_t n) {
   mul_add_row(out, in, c, n, active_kernel());
-}
-
-void mul_row(Elem* out, const Elem* in, Elem c, std::size_t n) {
-  mul_row(out, in, c, n, active_kernel());
 }
 
 void dot_rows(Elem* dst, std::span<const Elem* const> srcs,

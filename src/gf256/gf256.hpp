@@ -15,8 +15,9 @@
 // and decode. The portable kernels zero dst and add one source row at a time;
 // kSimd on an AVX2 CPU keeps 64 bytes of dst in registers across all sources
 // and stores them once, finishing the row's last < 64 bytes with the 16-byte
-// SSSE3 body. `mul_add_row` / `mul_row` remain for the in-place row
-// operations of Gauss-Jordan elimination (Matrix::inverse).
+// SSSE3 body. `mul_add_row` is the profiled single-row form of the same
+// kernels; nothing on the coding path calls it, since the IDA generator and
+// its decode inverse have closed forms (ida.hpp) and no matrix is eliminated.
 #pragma once
 
 #include <array>
@@ -83,9 +84,6 @@ inline Elem div(Elem a, Elem b) {
   return t.exp_[t.log_[a] + 255 - t.log_[b]];
 }
 
-// a^e with e >= 0 (0^0 defined as 1).
-Elem pow(Elem a, unsigned e);
-
 // Row-kernel implementations. kAuto resolves to the fastest kernel available
 // on this CPU (kSimd where SSSE3/NEON is present, else kMulTable).
 enum class Kernel : std::uint8_t {
@@ -111,10 +109,11 @@ bool kernel_available(Kernel k);
 // The concrete kernel `k` dispatches to (resolves kAuto; never returns kAuto).
 Kernel resolve_kernel(Kernel k);
 
-// Process-wide kernel used by the two-argument row ops below. Initialised
-// from the MOBIWEB_GF_KERNEL environment variable when set (one of the
-// kernel_name() strings), else kAuto; a set value that is unknown or not
-// available on this CPU throws ContractViolation. set_kernel is thread-safe.
+// Process-wide kernel used by the row ops below that take no Kernel.
+// Initialised from the MOBIWEB_GF_KERNEL environment variable when set (one
+// of the kernel_name() strings), else kAuto; a set value that is unknown or
+// not available on this CPU throws ContractViolation. set_kernel is
+// thread-safe.
 Kernel active_kernel();
 void set_kernel(Kernel k);
 
@@ -124,13 +123,9 @@ const Elem* mul_table(Elem c);
 // out[i] ^= c * in[i] over a row of bytes.
 void mul_add_row(Elem* out, const Elem* in, Elem c, std::size_t n);
 
-// out[i] = c * in[i].
-void mul_row(Elem* out, const Elem* in, Elem c, std::size_t n);
-
-// Same row ops with an explicit kernel, so tests and benchmarks can force a
-// path. `k` must satisfy kernel_available(k).
+// The same row op with an explicit kernel, so tests and benchmarks can force
+// a path. `k` must satisfy kernel_available(k).
 void mul_add_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k);
-void mul_row(Elem* out, const Elem* in, Elem c, std::size_t n, Kernel k);
 
 // dst[i] = sum_j coeffs[j] * srcs[j][i] for i < n: the dot product of the
 // n-byte rows srcs with coeffs, which holds one coefficient per source (no

@@ -4,8 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <map>
-#include <memory>
 #include <mutex>
 
 #include "obs/profile.hpp"
@@ -44,15 +42,44 @@ std::size_t set_parallel_threshold(std::size_t byte_multiplies) {
                                        std::memory_order_relaxed);
 }
 
-const gf::Matrix& systematic_generator(std::size_t n, std::size_t m) {
-  static std::mutex mu;
-  static std::map<std::pair<std::size_t, std::size_t>, std::unique_ptr<gf::Matrix>> cache;
-  std::scoped_lock lock(mu);
-  auto& slot = cache[{n, m}];
-  if (!slot) {
-    slot = std::make_unique<gf::Matrix>(gf::systematic_vandermonde(n, m));
-  }
-  return *slot;
+namespace {
+
+// Evaluation point of cooked row i.
+gf::Elem node(std::size_t i) { return static_cast<gf::Elem>(i + 1); }
+
+struct GeneratorSlot {
+  std::once_flag once;
+  Generator g;
+};
+
+}  // namespace
+
+const Generator& systematic_generator(std::size_t m) {
+  MOBIWEB_CHECK_MSG(m >= 1 && m <= kMaxPackets,
+                    "systematic_generator: m must be in [1, 255]");
+  static std::array<GeneratorSlot, kMaxPackets + 1> slots;
+  GeneratorSlot& slot = slots[m];
+  std::call_once(slot.once, [&g = slot.g, m] {
+    g.m = m;
+    for (std::size_t j = 0; j < m; ++j) {
+      gf::Elem d = 1;
+      for (std::size_t i = 0; i < m; ++i) {
+        if (i != j) d = gf::mul(d, node(j) ^ node(i));
+      }
+      g.b[j] = gf::inv(d);
+    }
+    g.rows.resize((kMaxPackets - m) * m);
+    for (std::size_t r = m; r < kMaxPackets; ++r) {
+      gf::Elem a = 1;
+      for (std::size_t i = 0; i < m; ++i) a = gf::mul(a, node(r) ^ node(i));
+      g.a[r] = a;
+      gf::Elem* row = g.rows.data() + (r - m) * m;
+      for (std::size_t j = 0; j < m; ++j) {
+        row[j] = gf::div(gf::mul(a, g.b[j]), node(r) ^ node(j));
+      }
+    }
+  });
+  return slot.g;
 }
 
 std::size_t cooked_count(std::size_t m, double gamma) {
@@ -106,7 +133,7 @@ Bytes Encoder::encode_flat(ByteSpan payload, std::size_t packet_size) const {
   std::array<const gf::Elem*, kMaxPackets> raw{};
   for (std::size_t j = 0; j < m_; ++j) raw[j] = cooked.data() + j * size;
 
-  const gf::Matrix& g = systematic_generator(n_, m_);
+  const Generator& g = systematic_generator(m_);
   // Redundancy rows are independent dot products over the shared raw packets,
   // so they shard across threads without changing a single output byte.
   for_each_row_range(m_, n_, m_ * size, [&](std::size_t lo, std::size_t hi) {
@@ -154,17 +181,23 @@ namespace {
 //
 //   s_r = payload_r + sum_{j clear} g[r][j] raw_j = sum_{e in E} g[r][e] raw_e
 //
-// so raw_E = B^-1 s with B = g[R][E]: a k x k inverse plus 2k dot products
-// over k*m source rows in all, where inverting the whole m x m sub-generator
-// costs an m x m inverse plus m*m row products. That sub-generator is
-// block-triangular ([I 0; * B] up to row order), so it is singular exactly
-// when B is.
+// so raw_E = B^-1 s with B = g[R][E]. By the generator's closed form,
+// B = diag(a_R) C diag(b_E) for the Cauchy matrix C[p][q] = 1 / (y_p + z_q)
+// over y_p = x_{R_p} and z_q = x_{E_q}, whose inverse is
+//
+//   C^-1[q][p] = prod_t (y_p + z_t) prod_t (y_t + z_q)
+//                / ((y_p + z_q) prod_{t!=p} (y_p + y_t) prod_{t!=q} (z_q + z_t)).
+//
+// So B^-1[q][p] = u_p v_q / (y_p + z_q) with u_p and v_q below: O(k^2)
+// field operations, then 2k dot products over k*m source rows in all. R and
+// E are disjoint sets of distinct nodes, so no factor is ever zero and B is
+// never singular.
 Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
                   std::size_t m, std::size_t n) {
   MOBIWEB_PROFILE_SCOPE("ida.decode");
   // Validate the whole input up front: a bad index or a mixed-size payload
-  // must surface as a ContractViolation here, never as a silently singular
-  // submatrix or an out-of-bounds row read further down.
+  // must surface as a ContractViolation here, never as an out-of-bounds row
+  // read further down.
   MOBIWEB_CHECK_MSG(!cooked.empty(), "Decoder::decode: no packets supplied");
   const std::size_t size = cooked.front().second.size();
   MOBIWEB_CHECK_MSG(size >= 1, "Decoder::decode: empty packets");
@@ -204,16 +237,31 @@ Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
     (seen[j] ? clear[clear_count++] : erased[erased_count++]) = j;
   }
 
-  const gf::Matrix& g = systematic_generator(n, m);
-  gf::Matrix block(k, k);
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t e = 0; e < k; ++e) {
-      block.at(a, e) = g.at(redundant[a].first, erased[e]);
+  const Generator& g = systematic_generator(m);
+  const auto y = [&](std::size_t p) { return node(redundant[p].first); };
+  const auto z = [&](std::size_t q) { return node(erased[q]); };
+  // u_p: C^-1's factor for received row p, over a_{R_p};
+  // v_q: C^-1's factor for erased row q, over b_{E_q}.
+  std::array<gf::Elem, kMaxPackets> u{};
+  std::array<gf::Elem, kMaxPackets> v{};
+  for (std::size_t p = 0; p < k; ++p) {
+    gf::Elem num = 1;
+    gf::Elem den = g.a[redundant[p].first];
+    for (std::size_t t = 0; t < k; ++t) {
+      num = gf::mul(num, y(p) ^ z(t));
+      if (t != p) den = gf::mul(den, y(p) ^ y(t));
     }
+    u[p] = gf::div(num, den);
   }
-  const gf::Matrix inv = block.inverse();
-  MOBIWEB_CHECK_MSG(!inv.empty(),
-                    "Decoder::decode: sub-generator singular (corrupt indices?)");
+  for (std::size_t q = 0; q < k; ++q) {
+    gf::Elem num = 1;
+    gf::Elem den = g.b[erased[q]];
+    for (std::size_t t = 0; t < k; ++t) {
+      num = gf::mul(num, y(t) ^ z(q));
+      if (t != q) den = gf::mul(den, z(q) ^ z(t));
+    }
+    v[q] = gf::div(num, den);
+  }
 
   // Syndrome and solution rows are each independent, so both passes shard
   // across the pool. A syndrome is one dot product: the received payload with
@@ -230,14 +278,20 @@ Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
     for (std::size_t a = lo; a < hi; ++a) {
       const auto& [r, payload] = redundant[a];
       srcs[0] = payload;
-      for (std::size_t c = 0; c < clear_count; ++c) coeffs[1 + c] = g.at(r, clear[c]);
+      const gf::Elem* coeff_row = g.row(r);
+      for (std::size_t c = 0; c < clear_count; ++c) coeffs[1 + c] = coeff_row[clear[c]];
       gf::dot_rows(syndromes.data() + a * size, {srcs.data(), terms},
                    {coeffs.data(), terms}, size);
     }
   });
   for_each_row_range(0, k, k * size, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t e = lo; e < hi; ++e) {
-      gf::dot_rows(row(erased[e]), {syndrome_rows.data(), k}, {inv.row(e), k}, size);
+    std::array<gf::Elem, kMaxPackets> inv_row{};  // row q of B^-1
+    for (std::size_t q = lo; q < hi; ++q) {
+      for (std::size_t p = 0; p < k; ++p) {
+        inv_row[p] = gf::div(gf::mul(u[p], v[q]), y(p) ^ z(q));
+      }
+      gf::dot_rows(row(erased[q]), {syndrome_rows.data(), k}, {inv_row.data(), k},
+                   size);
     }
   });
   return out;

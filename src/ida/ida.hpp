@@ -13,23 +13,23 @@
 // This mirrors Rabin's IDA with the paper's modification: "adopt the
 // Vandermonde polynomial in the transformation stage, followed by making the
 // upper portion of the multiplying Vandermonde matrix into an identity matrix
-// via elementary matrix transformation".
+// via elementary matrix transformation". That product has a closed form, so
+// no matrix is ever inverted: over the nodes x_i = i + 1, row r of the
+// generator is the Lagrange basis of x_0..x_{M-1} evaluated at x_r, and the
+// k x k block a decode inverts is a scaled Cauchy matrix whose inverse is
+// known entry by entry (Schechter 1959; Lacan & Fimes 2004).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "gf256/matrix.hpp"
+#include "gf256/gf256.hpp"
 #include "util/bytes.hpp"
 
 namespace mobiweb::ida {
-
-// Returns the shared systematic generator for (n, m); generators are cached
-// process-wide because the simulator re-uses a handful of shapes thousands of
-// times. Thread-safe.
-const gf::Matrix& systematic_generator(std::size_t n, std::size_t m);
 
 // Encode/decode shard their independent output rows across the global
 // ThreadPool when the matrix work (rows to compute x m x packet bytes,
@@ -45,6 +45,31 @@ std::size_t set_parallel_threshold(std::size_t byte_multiplies);
 // Most packets, raw or cooked, in one dispersal group: the generator's rows
 // are evaluation points of GF(2^8), which has 255 non-zero elements.
 inline constexpr std::size_t kMaxPackets = 255;
+
+// The systematic generator for m raw packets, in closed form. With
+// x_i = i + 1, a_r = prod_{i<m} (x_r + x_i) and
+// b_j = 1 / prod_{i<m, i!=j} (x_j + x_i) (addition is xor), the generator's
+// rows 0..m-1 are the identity and each later row is
+//
+//   G[r][j] = a_r * b_j / (x_r + x_j).
+//
+// Row r depends on m and r only, never on n, so one table per m serves every
+// n: it holds rows m..kMaxPackets-1.
+struct Generator {
+  std::size_t m = 0;
+  std::array<gf::Elem, kMaxPackets> a{};  // a_r for m <= r < kMaxPackets
+  std::array<gf::Elem, kMaxPackets> b{};  // b_j for j < m
+  std::vector<gf::Elem> rows;             // rows m.. back to back, m bytes each
+
+  // The m coefficients of redundancy row r, m <= r < kMaxPackets.
+  [[nodiscard]] const gf::Elem* row(std::size_t r) const {
+    return rows.data() + (r - m) * m;
+  }
+};
+
+// The shared generator for m raw packets, 1 <= m <= kMaxPackets: built on
+// first use, then returned without a lock. Thread-safe.
+const Generator& systematic_generator(std::size_t m);
 
 // Relative tolerance under which cooked_count treats γ·m as a whole number.
 // Decimal ratios are inexact in binary, so γ·m can land a few ulps above the

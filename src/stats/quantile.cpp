@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/check.hpp"
-
 namespace mobiweb::stats {
 
 namespace {
@@ -30,128 +28,6 @@ double exact_quantile(std::vector<double> samples, double q) {
                 samples.end());
   std::sort(samples.begin(), samples.end());
   return exact_quantile_sorted(samples, q);
-}
-
-P2Quantile::P2Quantile(double q) : q_(q) {
-  MOBIWEB_CHECK_MSG(q > 0.0 && q < 1.0, "P2Quantile: q in (0,1)");
-  // Desired marker positions after n samples: 1, 1+(n-1)q/2, 1+(n-1)q,
-  // 1+(n-1)(1+q)/2, n. Stored as the position at n = 5 plus the per-sample
-  // increment, exactly as in Jain & Chlamtac (1985).
-  want_ = {1.0, 1.0 + 2.0 * q_, 1.0 + 4.0 * q_, 3.0 + 2.0 * q_, 5.0};
-  step_ = {0.0, q_ / 2.0, q_, (1.0 + q_) / 2.0, 1.0};
-}
-
-bool P2Quantile::add(double x) {
-  if (std::isnan(x)) return false;
-  if (n_ < 5) {
-    height_[n_++] = x;
-    if (n_ == 5) {
-      std::sort(height_.begin(), height_.end());
-      for (std::size_t i = 0; i < 5; ++i) pos_[i] = static_cast<double>(i + 1);
-    }
-    return true;
-  }
-
-  // Locate the cell containing x and clamp the extreme markers to it.
-  std::size_t k;
-  if (x < height_[0]) {
-    height_[0] = x;
-    k = 0;
-  } else if (x >= height_[4]) {
-    height_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= height_[k + 1]) ++k;
-  }
-
-  for (std::size_t i = k + 1; i < 5; ++i) pos_[i] += 1.0;
-  for (std::size_t i = 0; i < 5; ++i) want_[i] += step_[i];
-  ++n_;
-
-  // Nudge the three interior markers toward their desired positions, using
-  // the piecewise-parabolic (P^2) height prediction, falling back to linear
-  // interpolation when the parabola would leave the bracketing heights.
-  for (std::size_t i = 1; i <= 3; ++i) {
-    const double d = want_[i] - pos_[i];
-    if ((d >= 1.0 && pos_[i + 1] - pos_[i] > 1.0) ||
-        (d <= -1.0 && pos_[i - 1] - pos_[i] < -1.0)) {
-      const double sign = d >= 0.0 ? 1.0 : -1.0;
-      const double hp = height_[i + 1];
-      const double hm = height_[i - 1];
-      const double pp = pos_[i + 1];
-      const double pm = pos_[i - 1];
-      const double p = pos_[i];
-      const double h = height_[i];
-      double candidate =
-          h + sign / (pp - pm) *
-                  ((p - pm + sign) * (hp - h) / (pp - p) +
-                   (pp - p - sign) * (h - hm) / (p - pm));
-      if (candidate <= hm || candidate >= hp) {
-        // Parabolic prediction escaped the bracket: linear step instead.
-        const std::size_t j = d >= 0.0 ? i + 1 : i - 1;
-        candidate = h + sign * (height_[j] - h) / (pos_[j] - p);
-      }
-      height_[i] = candidate;
-      pos_[i] += sign;
-    }
-  }
-  return true;
-}
-
-double P2Quantile::value() const {
-  if (n_ == 0) return kNan;
-  if (n_ < 5) {
-    std::vector<double> sorted(height_.begin(),
-                               height_.begin() + static_cast<long>(n_));
-    std::sort(sorted.begin(), sorted.end());
-    return exact_quantile_sorted(sorted, q_);
-  }
-  return height_[2];
-}
-
-StreamingQuantiles::StreamingQuantiles()
-    : trackers_{P2Quantile(0.5), P2Quantile(0.95), P2Quantile(0.99),
-                P2Quantile(0.999)} {
-  window_.reserve(kExactWindow);
-}
-
-bool StreamingQuantiles::add(double x) {
-  if (std::isnan(x)) return false;
-  for (P2Quantile& t : trackers_) t.add(x);
-  moments_.add(x);
-  if (window_.size() < kExactWindow) window_.push_back(x);
-  return true;
-}
-
-double StreamingQuantiles::quantile(double q) const {
-  if (moments_.count() == 0) return kNan;
-  if (moments_.count() <= kExactWindow) {
-    std::vector<double> sorted = window_;
-    std::sort(sorted.begin(), sorted.end());
-    return exact_quantile_sorted(sorted, q);
-  }
-  for (const P2Quantile& t : trackers_) {
-    if (t.q() == q) return t.value();
-  }
-  MOBIWEB_CHECK_MSG(false, "StreamingQuantiles: untracked quantile");
-  return kNan;  // unreachable
-}
-
-TailSummary StreamingQuantiles::summary() const {
-  TailSummary out;
-  out.count = moments_.count();
-  if (out.count == 0) return out;
-  out.mean = moments_.mean();
-  out.stddev = moments_.stddev();
-  out.ci95 = mean_ci95_halfwidth(out.count, out.stddev);
-  out.min = moments_.min();
-  out.max = moments_.max();
-  out.p50 = quantile(0.5);
-  out.p95 = quantile(0.95);
-  out.p99 = quantile(0.99);
-  out.p999 = quantile(0.999);
-  return out;
 }
 
 }  // namespace mobiweb::stats

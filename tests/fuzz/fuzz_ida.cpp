@@ -1,13 +1,14 @@
 // Fuzz target: the IDA erasure-coding pipeline with arbitrary share subsets,
 // plus the serial-vs-parallel differential oracle. The provider picks a
-// shape (m, n, packet_size), a payload, and a permutation of cooked-packet
-// indices, optionally biased toward mostly-clear subsets (the common case:
-// few erasures); the harness checks that
+// shape (any 1 <= m <= n <= 255, packet_size), a payload, and a permutation
+// of cooked-packet indices, optionally biased toward mostly-clear subsets
+// (the common case: few erasures); the harness checks that
 //
 //   * serial and row-sharded parallel encode/decode produce identical bytes;
 //   * ANY m distinct cooked packets reconstruct the payload exactly, and
-//     decode agrees with a reference that inverts the whole m x m
-//     sub-generator and multiplies it out with scalar field arithmetic;
+//     decode agrees with a reference that builds the generator as
+//     V * V_top^-1, inverts the whole m x m sub-generator by Gauss-Jordan
+//     (gf_oracle.hpp) and multiplies it out with scalar field arithmetic;
 //   * the streaming decoder reaches the same payload through out-of-order,
 //     duplicated arrivals;
 //   * fewer than m distinct packets is rejected with ContractViolation.
@@ -18,7 +19,7 @@
 #include <vector>
 
 #include "fuzz_input.hpp"
-#include "gf256/matrix.hpp"
+#include "gf_oracle.hpp"
 #include "ida/ida.hpp"
 #include "util/check.hpp"
 
@@ -51,7 +52,8 @@ std::vector<Bytes> full_inverse_decode(
     const std::vector<std::pair<std::size_t, Bytes>>& shares) {
   std::vector<std::size_t> indices;
   for (std::size_t i = 0; i < m; ++i) indices.push_back(shares[i].first);
-  const gf::Matrix inv = ida::systematic_generator(n, m).select_rows(indices).inverse();
+  const mobiweb::testing::Matrix inv =
+      mobiweb::testing::systematic_vandermonde(n, m).select_rows(indices).inverse();
   MOBIWEB_FUZZ_ASSERT(!inv.empty(), "m distinct shares gave a singular sub-generator");
   const std::size_t size = shares.front().second.size();
   std::vector<Bytes> raw(m, Bytes(size, 0));
@@ -71,8 +73,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   if (size > (1u << 16)) return 0;
   FuzzInput in(data, size);
 
-  const std::size_t m = in.take_in_range(1, 12);
-  const std::size_t n = m + in.take_in_range(0, 12);
+  const std::size_t m = in.take_in_range(1, ida::kMaxPackets);
+  const std::size_t n = m + in.take_in_range(0, ida::kMaxPackets - m);
   const std::size_t packet_size = in.take_in_range(1, 48);
   const std::size_t payload_size =
       in.take_in_range((m - 1) * packet_size + 1, m * packet_size);

@@ -1,11 +1,13 @@
-// GF(2^8) arithmetic and linear algebra.
+// GF(2^8) arithmetic, plus the dense-matrix oracle the coding tests compare
+// the closed-form generator against (tests/fuzz/gf_oracle.hpp).
 #include <gtest/gtest.h>
 
+#include "fuzz/gf_oracle.hpp"
 #include "gf256/gf256.hpp"
-#include "gf256/matrix.hpp"
 #include "util/rng.hpp"
 
 namespace gf = mobiweb::gf;
+namespace oracle = mobiweb::testing;
 using mobiweb::ContractViolation;
 using mobiweb::Rng;
 
@@ -84,15 +86,15 @@ TEST(Gf256, PowMatchesRepeatedMul) {
   for (int a = 0; a < 256; a += 7) {
     gf::Elem acc = 1;
     for (unsigned e = 0; e < 12; ++e) {
-      EXPECT_EQ(gf::pow(static_cast<gf::Elem>(a), e), acc) << "a=" << a << " e=" << e;
+      EXPECT_EQ(oracle::pow(static_cast<gf::Elem>(a), e), acc) << "a=" << a << " e=" << e;
       acc = gf::mul(acc, static_cast<gf::Elem>(a));
     }
   }
 }
 
 TEST(Gf256, PowZeroExponentIsOne) {
-  EXPECT_EQ(gf::pow(0, 0), 1);
-  EXPECT_EQ(gf::pow(37, 0), 1);
+  EXPECT_EQ(oracle::pow(0, 0), 1);
+  EXPECT_EQ(oracle::pow(37, 0), 1);
 }
 
 namespace {
@@ -118,7 +120,7 @@ TEST(Gf256, PowLargeExponentsMatchOracle) {
   for (unsigned e : exponents) {
     for (int a = 0; a < 256; a += 5) {
       const auto elem = static_cast<gf::Elem>(a);
-      EXPECT_EQ(gf::pow(elem, e), pow_oracle(elem, e)) << "a=" << a << " e=" << e;
+      EXPECT_EQ(oracle::pow(elem, e), pow_oracle(elem, e)) << "a=" << a << " e=" << e;
     }
   }
 }
@@ -128,7 +130,7 @@ TEST(Gf256, PowRandomExponentsMatchOracle) {
   for (int i = 0; i < 2000; ++i) {
     const auto a = static_cast<gf::Elem>(rng.next_below(256));
     const auto e = static_cast<unsigned>(rng.next_u64());
-    EXPECT_EQ(gf::pow(a, e), pow_oracle(a, e)) << "a=" << int(a) << " e=" << e;
+    EXPECT_EQ(oracle::pow(a, e), pow_oracle(a, e)) << "a=" << int(a) << " e=" << e;
   }
 }
 
@@ -151,9 +153,9 @@ TEST(Gf256, MulAddRowZeroCoefficientIsNoop) {
 }
 
 TEST(Matrix, IdentityMultiplication) {
-  gf::Matrix id = gf::Matrix::identity(5);
+  oracle::Matrix id = oracle::Matrix::identity(5);
   EXPECT_TRUE(id.is_identity());
-  gf::Matrix m(5, 5);
+  oracle::Matrix m(5, 5);
   Rng rng(5);
   for (std::size_t r = 0; r < 5; ++r) {
     for (std::size_t c = 0; c < 5; ++c) {
@@ -165,8 +167,8 @@ TEST(Matrix, IdentityMultiplication) {
 }
 
 TEST(Matrix, MultiplyDimensionMismatchThrows) {
-  gf::Matrix a(2, 3);
-  gf::Matrix b(2, 3);
+  oracle::Matrix a(2, 3);
+  oracle::Matrix b(2, 3);
   EXPECT_THROW(a.multiply(b), ContractViolation);
 }
 
@@ -176,13 +178,13 @@ TEST(Matrix, InverseRoundTrip) {
     // Random matrices over GF(256) are invertible with high probability;
     // retry until one is.
     for (;;) {
-      gf::Matrix m(n, n);
+      oracle::Matrix m(n, n);
       for (std::size_t r = 0; r < n; ++r) {
         for (std::size_t c = 0; c < n; ++c) {
           m.at(r, c) = static_cast<gf::Elem>(rng.next_below(256));
         }
       }
-      gf::Matrix inv = m.inverse();
+      oracle::Matrix inv = m.inverse();
       if (inv.empty()) continue;
       EXPECT_TRUE(m.multiply(inv).is_identity()) << "n=" << n;
       EXPECT_TRUE(inv.multiply(m).is_identity()) << "n=" << n;
@@ -192,10 +194,10 @@ TEST(Matrix, InverseRoundTrip) {
 }
 
 TEST(Matrix, SingularReturnsEmpty) {
-  gf::Matrix m(2, 2);  // all zeros
+  oracle::Matrix m(2, 2);  // all zeros
   EXPECT_TRUE(m.inverse().empty());
 
-  gf::Matrix dup(2, 2);  // duplicate rows
+  oracle::Matrix dup(2, 2);  // duplicate rows
   dup.at(0, 0) = 3;
   dup.at(0, 1) = 5;
   dup.at(1, 0) = 3;
@@ -204,17 +206,17 @@ TEST(Matrix, SingularReturnsEmpty) {
 }
 
 TEST(Matrix, InverseRequiresSquare) {
-  gf::Matrix m(2, 3);
+  oracle::Matrix m(2, 3);
   EXPECT_THROW(m.inverse(), ContractViolation);
 }
 
 TEST(Matrix, SelectRows) {
-  gf::Matrix m(4, 2);
+  oracle::Matrix m(4, 2);
   for (std::size_t r = 0; r < 4; ++r) {
     m.at(r, 0) = static_cast<gf::Elem>(r + 1);
     m.at(r, 1) = static_cast<gf::Elem>(10 * (r + 1));
   }
-  gf::Matrix s = m.select_rows({3, 1});
+  oracle::Matrix s = m.select_rows({3, 1});
   ASSERT_EQ(s.rows(), 2u);
   EXPECT_EQ(s.at(0, 0), 4);
   EXPECT_EQ(s.at(0, 1), 40);
@@ -223,7 +225,7 @@ TEST(Matrix, SelectRows) {
 }
 
 TEST(Vandermonde, ShapeAndFirstColumn) {
-  gf::Matrix v = gf::vandermonde(6, 3);
+  oracle::Matrix v = oracle::vandermonde(6, 3);
   EXPECT_EQ(v.rows(), 6u);
   EXPECT_EQ(v.cols(), 3u);
   for (std::size_t r = 0; r < 6; ++r) {
@@ -233,7 +235,7 @@ TEST(Vandermonde, ShapeAndFirstColumn) {
 }
 
 TEST(Vandermonde, AnySquareRowSubsetInvertible) {
-  gf::Matrix v = gf::vandermonde(10, 4);
+  oracle::Matrix v = oracle::vandermonde(10, 4);
   Rng rng(7);
   for (int trial = 0; trial < 50; ++trial) {
     // Draw 4 distinct row indices.
@@ -251,7 +253,7 @@ TEST(Vandermonde, AnySquareRowSubsetInvertible) {
 TEST(Vandermonde, SystematicTopIsIdentity) {
   for (auto [n, m] : {std::pair<std::size_t, std::size_t>{8, 4},
                       {255, 100}, {5, 5}, {60, 40}}) {
-    gf::Matrix g = gf::systematic_vandermonde(n, m);
+    oracle::Matrix g = oracle::systematic_vandermonde(n, m);
     std::vector<std::size_t> top(m);
     for (std::size_t i = 0; i < m; ++i) top[i] = i;
     EXPECT_TRUE(g.select_rows(top).is_identity()) << "n=" << n << " m=" << m;
@@ -259,7 +261,7 @@ TEST(Vandermonde, SystematicTopIsIdentity) {
 }
 
 TEST(Vandermonde, SystematicAnySubsetStillInvertible) {
-  gf::Matrix g = gf::systematic_vandermonde(12, 5);
+  oracle::Matrix g = oracle::systematic_vandermonde(12, 5);
   Rng rng(8);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<std::size_t> rows;
@@ -274,8 +276,8 @@ TEST(Vandermonde, SystematicAnySubsetStillInvertible) {
 }
 
 TEST(Vandermonde, RowLimitEnforced) {
-  EXPECT_THROW(gf::vandermonde(256, 4), ContractViolation);
-  EXPECT_NO_THROW(gf::vandermonde(255, 4));
+  EXPECT_THROW(oracle::vandermonde(256, 4), ContractViolation);
+  EXPECT_NO_THROW(oracle::vandermonde(255, 4));
 }
 
 namespace {

@@ -115,26 +115,6 @@ TEST(GfKernels, MulAddRowIdenticalAcrossKernels) {
   }
 }
 
-TEST(GfKernels, MulRowIdenticalAcrossKernels) {
-  Rng rng(41);
-  const std::size_t lengths[] = {0, 1, 7, 8, 9, 16, 17, 100, 4096};
-  const int coefficients[] = {0, 1, 2, 0x57, 0x8e, 0xff};
-  for (const std::size_t n : lengths) {
-    for (const int c : coefficients) {
-      const Bytes in = random_bytes(n, rng);
-      Bytes expect(n, 0xaa);
-      gf::mul_row(expect.data(), in.data(), static_cast<gf::Elem>(c), n,
-                  gf::Kernel::kScalar);
-      for (const gf::Kernel k : available_kernels()) {
-        Bytes out(n, 0x55);  // different fill: result must not depend on out
-        gf::mul_row(out.data(), in.data(), static_cast<gf::Elem>(c), n, k);
-        ASSERT_EQ(out, expect) << "kernel=" << gf::kernel_name(k) << " n=" << n
-                               << " c=" << c;
-      }
-    }
-  }
-}
-
 TEST(GfKernels, RowsWithZeroBytesIdenticalAcrossKernels) {
   // Zero input bytes exercise the scalar kernel's x==0 branch against the
   // branch-free table kernels.
@@ -152,9 +132,8 @@ TEST(GfKernels, RowsWithZeroBytesIdenticalAcrossKernels) {
 }
 
 TEST(GfKernels, AliasedInOutIdenticalAcrossKernels) {
-  // out == in is element-wise for both ops, so every kernel must permit it:
+  // out == in is element-wise, so every kernel must permit it:
   //   mul_add_row: out[i] ^= c * out[i]  == (c ^ 1) * out[i]
-  //   mul_row:     out[i]  = c * out[i]
   Rng rng(43);
   for (const std::size_t n : {1u, 9u, 100u, 4096u}) {
     const Bytes base = random_bytes(n, rng);
@@ -166,14 +145,6 @@ TEST(GfKernels, AliasedInOutIdenticalAcrossKernels) {
         Bytes buf = base;
         gf::mul_add_row(buf.data(), buf.data(), static_cast<gf::Elem>(c), n, k);
         ASSERT_EQ(buf, expect) << "mul_add kernel=" << gf::kernel_name(k);
-      }
-      expect = base;
-      gf::mul_row(expect.data(), expect.data(), static_cast<gf::Elem>(c), n,
-                  gf::Kernel::kScalar);
-      for (const gf::Kernel k : available_kernels()) {
-        Bytes buf = base;
-        gf::mul_row(buf.data(), buf.data(), static_cast<gf::Elem>(c), n, k);
-        ASSERT_EQ(buf, expect) << "mul_row kernel=" << gf::kernel_name(k);
       }
     }
   }

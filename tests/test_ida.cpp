@@ -5,8 +5,10 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
 
+#include "fuzz/gf_oracle.hpp"
 #include "ida/ida.hpp"
 #include "obs/profile.hpp"
 #include "util/rng.hpp"
@@ -14,6 +16,7 @@
 namespace gf = mobiweb::gf;
 namespace ida = mobiweb::ida;
 namespace obs = mobiweb::obs;
+namespace oracle = mobiweb::testing;
 using mobiweb::Bytes;
 using mobiweb::ByteSpan;
 using mobiweb::ContractViolation;
@@ -36,8 +39,9 @@ void shuffle(std::vector<std::size_t>& v, Rng& rng) {
 }
 
 // The decode the erasure-only solve replaces: invert the whole m x m
-// sub-generator of the first m distinct indices and multiply it out byte by
-// byte with scalar field arithmetic (no row kernels).
+// sub-generator of the first m distinct indices, built and inverted by the
+// Gauss-Jordan oracle, and multiply it out byte by byte with scalar field
+// arithmetic.
 std::vector<Bytes> full_inverse_decode(std::size_t m, std::size_t n,
                                        const Shares& shares) {
   std::vector<std::size_t> indices;
@@ -49,7 +53,8 @@ std::vector<Bytes> full_inverse_decode(std::size_t m, std::size_t n,
     indices.push_back(idx);
     payloads.push_back(&data);
   }
-  const gf::Matrix inv = ida::systematic_generator(n, m).select_rows(indices).inverse();
+  const oracle::Matrix inv =
+      oracle::systematic_vandermonde(n, m).select_rows(indices).inverse();
   const std::size_t size = shares.front().second.size();
   std::vector<Bytes> raw(m, Bytes(size, 0));
   for (std::size_t i = 0; i < m; ++i) {
@@ -67,6 +72,15 @@ long calls(const obs::Profiler& profiler, const std::string& name) {
     if (e.name == name) return e.count;
   }
   return 0;
+}
+
+// Calls of every profiler scope whose name starts with `prefix`.
+long calls_with_prefix(const obs::Profiler& profiler, const std::string& prefix) {
+  long total = 0;
+  for (const auto& e : profiler.report()) {
+    if (e.name.starts_with(prefix)) total += e.count;
+  }
+  return total;
 }
 
 }  // namespace
@@ -361,9 +375,101 @@ TEST(Streaming, RejectsBadInput) {
 }
 
 TEST(Ida, GeneratorCacheReturnsSameObject) {
-  const auto& a = ida::systematic_generator(60, 40);
-  const auto& b = ida::systematic_generator(60, 40);
-  EXPECT_EQ(&a, &b);
+  const ida::Generator& a = ida::systematic_generator(40);
+  EXPECT_EQ(&a, &ida::systematic_generator(40));
+  EXPECT_NE(&a, &ida::systematic_generator(41));
+  EXPECT_EQ(a.m, 40u);
+  EXPECT_EQ(a.rows.size(), (ida::kMaxPackets - 40) * 40);
+  EXPECT_THROW((void)ida::systematic_generator(0), ContractViolation);
+  EXPECT_THROW((void)ida::systematic_generator(ida::kMaxPackets + 1), ContractViolation);
+}
+
+// Concurrent first use of every per-m slot: each thread sees one table per m,
+// fully built (run under TSan by scripts/tsan_fleet.sh, label coding).
+TEST(Ida, GeneratorTableConcurrentFirstUse) {
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<const ida::Generator*>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&seen, t] {
+      for (std::size_t m = 1; m <= ida::kMaxPackets; ++m) {
+        seen[t].push_back(&ida::systematic_generator(m));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  for (std::size_t m = 1; m <= ida::kMaxPackets; ++m) {
+    const ida::Generator& g = *seen[0][m - 1];
+    ASSERT_EQ(g.m, m);
+    ASSERT_EQ(g.rows.size(), (ida::kMaxPackets - m) * m);
+  }
+}
+
+// The closed-form generator against the paper's construction, V * V_top^-1
+// by Gauss-Jordan. A row depends on m only, so n = 255 covers every shape.
+TEST(IdaClosedForm, GeneratorEqualsGaussJordanForEveryM) {
+  constexpr std::size_t n = ida::kMaxPackets;
+  for (std::size_t m = 1; m <= n; ++m) {
+    const oracle::Matrix expect = oracle::systematic_vandermonde(n, m);
+    const ida::Generator& g = ida::systematic_generator(m);
+    for (std::size_t r = m; r < n; ++r) {
+      ASSERT_TRUE(std::equal(g.row(r), g.row(r) + m, expect.row(r)))
+          << "m=" << m << " r=" << r;
+    }
+  }
+}
+
+// The closed-form inverse of the k x k block B = G[R][E] against the
+// Gauss-Jordan inverse, read through the public decoder: with every clear
+// packet zero and redundancy packet R_p carrying the unit row e_p (packet
+// size k), the syndromes are the unit rows, so erased raw packet E_q decodes
+// to row q of B^-1.
+TEST(IdaClosedForm, BlockInverseEqualsGaussJordan) {
+  Rng rng(45);
+  struct Case {
+    std::size_t m, n, k;
+  };
+  std::vector<Case> cases = {{1, 2, 1}, {1, 255, 1}, {40, 60, 20}, {128, 255, 127}};
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t m = 1 + rng.next_below(ida::kMaxPackets - 1);
+    const std::size_t n = m + 1 + rng.next_below(ida::kMaxPackets - m);
+    cases.push_back({m, n, 1 + rng.next_below(std::min(m, n - m))});
+  }
+  for (const auto& [m, n, k] : cases) {
+    SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                 " k=" + std::to_string(k));
+    std::vector<std::size_t> clear(m);
+    std::iota(clear.begin(), clear.end(), 0u);
+    std::vector<std::size_t> redundant(n - m);
+    std::iota(redundant.begin(), redundant.end(), m);
+    shuffle(clear, rng);
+    shuffle(redundant, rng);
+    const std::vector<std::size_t> erased(
+        clear.begin() + static_cast<std::ptrdiff_t>(m - k), clear.end());
+    redundant.resize(k);
+
+    const oracle::Matrix g = oracle::systematic_vandermonde(n, m);
+    oracle::Matrix block(k, k);
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t q = 0; q < k; ++q) block.at(p, q) = g.at(redundant[p], erased[q]);
+    }
+    const oracle::Matrix expect = block.inverse();
+    ASSERT_FALSE(expect.empty());
+
+    Shares shares;
+    for (std::size_t c = 0; c < m - k; ++c) shares.emplace_back(clear[c], Bytes(k, 0));
+    for (std::size_t p = 0; p < k; ++p) {
+      Bytes unit(k, 0);
+      unit[p] = 1;
+      shares.emplace_back(redundant[p], unit);
+    }
+    const auto raw = ida::Decoder(m, n).decode(shares);
+    for (std::size_t q = 0; q < k; ++q) {
+      ASSERT_TRUE(std::equal(raw[erased[q]].begin(), raw[erased[q]].end(), expect.row(q)))
+          << "row q=" << q;
+    }
+  }
 }
 
 // Property sweep: encode -> lose packets -> decode across shapes.
@@ -507,9 +613,8 @@ TEST(Streaming, ClearPacketLookupAcrossArrivalOrders) {
 
 // Pins the work: 36 clear + 4 redundancy packets at (40, 60) solve a k = 4
 // block, serially: 4 syndrome dot products over 37 rows, then 4 solve dot
-// products over 4 syndromes. dot_rows opens no profiler scope, so the only
-// scoped row operations left are the 4 x 4 inverse's own, measured
-// separately.
+// products over 4 syndromes. The block inverse is a closed form and dot_rows
+// opens no profiler scope, so decode opens no gf.* scope at all.
 TEST(IdaDecodeWork, MostlyClearInvertsOnlyTheErasedBlock) {
   Rng rng(43);
   const Bytes payload = random_payload(10240, rng);
@@ -519,24 +624,13 @@ TEST(IdaDecodeWork, MostlyClearInvertsOnlyTheErasedBlock) {
   for (std::size_t i = 40; i < 44; ++i) held.emplace_back(i, cooked[i]);
   const ida::Decoder dec(40, 60);
 
-  const gf::Matrix& g = ida::systematic_generator(60, 40);
-  gf::Matrix block(4, 4);
-  for (std::size_t a = 0; a < 4; ++a) {
-    for (std::size_t b = 0; b < 4; ++b) block.at(a, b) = g.at(40 + a, 36 + b);
-  }
-  obs::Profiler invert_only;
-  invert_only.attach();
-  ASSERT_FALSE(block.inverse().empty());
-  obs::Profiler::detach();
-
   obs::Profiler profiler;
   profiler.attach();
   const Bytes decoded = dec.decode_payload(held, payload.size());
   obs::Profiler::detach();
   EXPECT_EQ(decoded, payload);
-  EXPECT_EQ(calls(profiler, "gf.invert"), 1);
-  EXPECT_EQ(calls(profiler, "gf.mul_add_row"), calls(invert_only, "gf.mul_add_row"));
-  EXPECT_EQ(calls(profiler, "gf.mul_row"), calls(invert_only, "gf.mul_row"));
+  EXPECT_EQ(calls(profiler, "ida.decode"), 1);
+  EXPECT_EQ(calls_with_prefix(profiler, "gf."), 0);
   EXPECT_EQ(calls(profiler, "ida.rows.serial"), 2);  // syndromes, then solve
   EXPECT_EQ(calls(profiler, "ida.rows.parallel"), 0);
 }

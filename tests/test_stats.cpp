@@ -1,5 +1,4 @@
-// Statistical experiment engine: exact order statistics, the P-squared
-// streaming quantile estimator and its documented error bound, Student-t
+// Statistical experiment engine: exact order statistics, Student-t
 // confidence intervals, Jarque-Bera normality, chi-square goodness of fit,
 // the dispersion test, and least-squares regression. Every random draw is
 // seeded, so nothing here can flake.
@@ -41,43 +40,6 @@ std::vector<double> exponential_draws(std::size_t n, double rate,
   return out;
 }
 
-// Discrete Zipf(s) ranks over `support` values via cumulative weights —
-// the same shape the fleet's popularity sampler draws from.
-std::vector<double> zipf_draws(std::size_t n, double s, std::size_t support,
-                               std::uint64_t seed) {
-  std::vector<double> cum;
-  cum.reserve(support);
-  double acc = 0.0;
-  for (std::size_t r = 0; r < support; ++r) {
-    acc += std::pow(static_cast<double>(r + 1), -s);
-    cum.push_back(acc);
-  }
-  Rng rng(seed);
-  std::vector<double> out(n);
-  for (double& v : out) {
-    const double u = rng.next_double() * cum.back();
-    const auto it = std::upper_bound(cum.begin(), cum.end(), u);
-    v = static_cast<double>(it - cum.begin());
-  }
-  return out;
-}
-
-// The documented StreamingQuantiles contract: the estimate of q lies within
-// the closed envelope of exact sample quantiles [q - kRankError,
-// q + kRankError] (see stats/quantile.hpp).
-void expect_within_rank_envelope(const std::vector<double>& samples,
-                                 const stats::StreamingQuantiles& sq,
-                                 double q, const char* label) {
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  const double d = stats::StreamingQuantiles::kRankError;
-  const double lo = stats::exact_quantile_sorted(sorted, q - d);
-  const double hi = stats::exact_quantile_sorted(sorted, q + d);
-  const double est = sq.quantile(q);
-  EXPECT_GE(est, lo) << label << " q=" << q;
-  EXPECT_LE(est, hi) << label << " q=" << q;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- exact
@@ -100,114 +62,6 @@ TEST(ExactQuantile, PinnedOrderStatistics) {
 TEST(ExactQuantile, DropsNaNsBeforeSorting) {
   EXPECT_DOUBLE_EQ(stats::exact_quantile({kNan, 2.0, 1.0, kNan, 3.0}, 0.5),
                    2.0);
-}
-
-// ------------------------------------------------------------- streaming
-
-TEST(StreamingQuantiles, ExactWithinRetainedWindow) {
-  stats::StreamingQuantiles sq;
-  std::vector<double> samples;
-  Rng rng(7);
-  for (std::size_t i = 0; i < stats::StreamingQuantiles::kExactWindow; ++i) {
-    const double v = rng.next_range(-50.0, 50.0);
-    samples.push_back(v);
-    ASSERT_TRUE(sq.add(v));
-  }
-  for (double q : {0.5, 0.95, 0.99, 0.999}) {
-    EXPECT_DOUBLE_EQ(sq.quantile(q), stats::exact_quantile(samples, q))
-        << "q=" << q;
-  }
-}
-
-TEST(StreamingQuantiles, WithinDocumentedBoundOnUniform) {
-  const auto samples = uniform_draws(20000, 0x5eed0001);
-  stats::StreamingQuantiles sq;
-  for (double v : samples) sq.add(v);
-  for (double q : {0.5, 0.95, 0.99, 0.999}) {
-    expect_within_rank_envelope(samples, sq, q, "uniform");
-  }
-}
-
-TEST(StreamingQuantiles, WithinDocumentedBoundOnExponential) {
-  const auto samples = exponential_draws(20000, 0.25, 0x5eed0002);
-  stats::StreamingQuantiles sq;
-  for (double v : samples) sq.add(v);
-  for (double q : {0.5, 0.95, 0.99, 0.999}) {
-    expect_within_rank_envelope(samples, sq, q, "exponential");
-  }
-}
-
-TEST(StreamingQuantiles, WithinDocumentedBoundOnZipf) {
-  const auto samples = zipf_draws(20000, 1.1, 64, 0x5eed0003);
-  stats::StreamingQuantiles sq;
-  for (double v : samples) sq.add(v);
-  for (double q : {0.5, 0.95, 0.99, 0.999}) {
-    expect_within_rank_envelope(samples, sq, q, "zipf");
-  }
-}
-
-TEST(StreamingQuantiles, SummaryMatchesExactSummaryOnLargeStream) {
-  const auto samples = exponential_draws(50000, 1.0, 0x5eed0004);
-  stats::StreamingQuantiles sq;
-  for (double v : samples) sq.add(v);
-  const stats::TailSummary streamed = sq.summary();
-  const stats::TailSummary exact = stats::summarize_tails(samples);
-  EXPECT_EQ(streamed.count, exact.count);
-  EXPECT_NEAR(streamed.mean, exact.mean, 1e-9);
-  EXPECT_NEAR(streamed.stddev, exact.stddev, 1e-9);
-  EXPECT_NEAR(streamed.ci95, exact.ci95, 1e-9);
-  EXPECT_DOUBLE_EQ(streamed.min, exact.min);
-  EXPECT_DOUBLE_EQ(streamed.max, exact.max);
-  // Quantiles: within the rank envelope, checked per distribution above;
-  // here just sanity-pin the ordering of the streamed set.
-  EXPECT_LE(streamed.p50, streamed.p95);
-  EXPECT_LE(streamed.p95, streamed.p99);
-  EXPECT_LE(streamed.p99, streamed.p999);
-}
-
-TEST(StreamingQuantiles, DegenerateInputsPinned) {
-  stats::StreamingQuantiles sq;
-  // n = 0: every quantile is NaN, the summary is zeroed with count 0.
-  EXPECT_TRUE(std::isnan(sq.quantile(0.5)));
-  EXPECT_EQ(sq.summary().count, 0u);
-
-  // NaN is rejected without mutating state.
-  EXPECT_FALSE(sq.add(kNan));
-  EXPECT_EQ(sq.count(), 0u);
-
-  // n = 1: every quantile answers the single sample.
-  ASSERT_TRUE(sq.add(3.25));
-  for (double q : {0.5, 0.95, 0.99, 0.999}) {
-    EXPECT_DOUBLE_EQ(sq.quantile(q), 3.25);
-  }
-  const stats::TailSummary one = sq.summary();
-  EXPECT_EQ(one.count, 1u);
-  EXPECT_DOUBLE_EQ(one.mean, 3.25);
-  EXPECT_DOUBLE_EQ(one.ci95, 0.0);  // undefined below two samples
-}
-
-TEST(StreamingQuantiles, AllEqualStreamIsExactEverywhere) {
-  stats::StreamingQuantiles sq;
-  for (int i = 0; i < 10000; ++i) sq.add(42.0);
-  for (double q : {0.5, 0.95, 0.99, 0.999}) {
-    EXPECT_DOUBLE_EQ(sq.quantile(q), 42.0);
-  }
-  const stats::TailSummary s = sq.summary();
-  EXPECT_DOUBLE_EQ(s.mean, 42.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
-  EXPECT_DOUBLE_EQ(s.p999, 42.0);
-}
-
-TEST(P2Quantile, RejectsNaNAndBadQuantile) {
-  EXPECT_THROW(stats::P2Quantile(0.0), ContractViolation);
-  EXPECT_THROW(stats::P2Quantile(1.0), ContractViolation);
-  stats::P2Quantile p(0.5);
-  EXPECT_FALSE(p.add(kNan));
-  EXPECT_EQ(p.count(), 0u);
-  EXPECT_TRUE(std::isnan(p.value()));
-  // Exact for n <= 5 (the marker warm-up keeps raw samples).
-  for (double v : {5.0, 1.0, 3.0}) p.add(v);
-  EXPECT_DOUBLE_EQ(p.value(), 3.0);
 }
 
 // ------------------------------------------------------------- describe

@@ -14,7 +14,6 @@
 #include "fleet/engine.hpp"
 #include "stats/describe.hpp"
 #include "stats/inference.hpp"
-#include "stats/quantile.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mw = mobiweb;
@@ -210,32 +209,3 @@ TEST(FleetTails, BitIdenticalAcrossShardCounts) {
   EXPECT_EQ(a.session_time_tails.count, 400u);
 }
 
-TEST(FleetTails, StreamingEstimatorTracksTheFleetDistribution) {
-  // The fleet's session-time distribution is multi-modal (per-(doc, gamma)
-  // round quantization) — a worst case for P-squared. The streaming estimate
-  // must still land inside the documented rank envelope of the exact tails.
-  fleet::FleetConfig cfg = workload_config(3000);
-  cfg.alpha = 0.25;
-  fleet::FleetEngine engine(cfg);
-  const fleet::FleetResult r = engine.run();
-
-  std::vector<double> times;
-  times.reserve(r.outcomes.size());
-  stats::StreamingQuantiles sq;
-  for (const fleet::SessionOutcome& out : r.outcomes) {
-    times.push_back(out.result.time);
-    sq.add(out.result.time);
-  }
-  std::sort(times.begin(), times.end());
-  // The rank envelope alone assumes the quantile function is continuous;
-  // round quantization makes it a step function, so allow the estimator to
-  // overshoot a step by 1% of the observed value range on top of it.
-  const double d = stats::StreamingQuantiles::kRankError;
-  const double slack = 0.01 * (times.back() - times.front());
-  for (double q : {0.5, 0.95, 0.99}) {
-    const double lo = stats::exact_quantile_sorted(times, q - d);
-    const double hi = stats::exact_quantile_sorted(times, q + d);
-    EXPECT_GE(sq.quantile(q), lo - slack) << "q=" << q;
-    EXPECT_LE(sq.quantile(q), hi + slack) << "q=" << q;
-  }
-}
