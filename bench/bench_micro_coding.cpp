@@ -233,11 +233,18 @@ int emit_json(const std::string& path) {
                       dec.decode_payload(redundancy, payload.size()));
                 }));
   // CRC-32 over one frame body (header + 256-byte payload: what
-  // packet::decode checks per frame) and over a paper-sized document.
+  // packet::decode checks per frame) and over a paper-sized document. The
+  // frame also runs through the portable slicing-by-8 path alone, so the
+  // carry-less-multiply fold's share shows beside it.
   const Bytes frame_body = random_bytes(packet::frame_size(256) - packet::kTrailerSize, 14);
   const Bytes bulk = random_bytes(10240, 15);
   report.metric("crc32.frame.mbps", measure_payload_mbps(frame_body.size(), [&] {
                   benchmark::DoNotOptimize(mobiweb::crc32(ByteSpan(frame_body)));
+                }));
+  report.metric("crc32.frame.portable.mbps",
+                measure_payload_mbps(frame_body.size(), [&] {
+                  benchmark::DoNotOptimize(mobiweb::detail::crc32_update_portable(
+                      0xffffffffu, ByteSpan(frame_body)));
                 }));
   report.metric("crc32.bulk.mbps", measure_payload_mbps(bulk.size(), [&] {
                   benchmark::DoNotOptimize(mobiweb::crc32(ByteSpan(bulk)));

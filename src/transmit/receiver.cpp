@@ -8,10 +8,9 @@ namespace mobiweb::transmit {
 
 ClientReceiver::ClientReceiver(ReceiverConfig config, std::vector<doc::Segment> segments)
     : config_(config),
-      segments_(std::move(segments)),
       decoder_(config.m, config.n, config.packet_size, config.payload_size) {
-  content_map_.segments = segments_;
-  for (const auto& s : segments_) total_content_ += s.content;
+  content_map_.segments = std::move(segments);
+  total_content_ = content_map_.total_content();
 }
 
 double ClientReceiver::packet_content(std::size_t raw_index) const {
@@ -81,7 +80,7 @@ PartialDocument ClientReceiver::partial_document() const {
   const std::size_t ps = config_.packet_size;
   if (decoder_.complete()) {
     const Bytes payload = decoder_.reconstruct();
-    for (const doc::Segment& seg : segments_) {
+    for (const doc::Segment& seg : content_map_.segments) {
       if (seg.offset + seg.size > payload.size()) continue;  // defensive
       PartialUnit unit;
       unit.segment = seg;
@@ -98,7 +97,7 @@ PartialDocument ClientReceiver::partial_document() const {
   for (std::size_t raw = 0; raw < config_.m; ++raw) {
     if (decoder_.has_clear(raw)) ++out.clear_packets;
   }
-  for (const doc::Segment& seg : segments_) {
+  for (const doc::Segment& seg : content_map_.segments) {
     if (seg.size == 0) continue;  // nothing displayable
     if (seg.offset + seg.size > config_.payload_size) continue;  // defensive
     const std::size_t first = seg.offset / ps;

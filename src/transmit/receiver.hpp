@@ -116,7 +116,9 @@ class ClientReceiver {
   // corrupted / foreign) survive: they describe the channel, not the cache.
   void reset_cache();
 
-  [[nodiscard]] const std::vector<doc::Segment>& segments() const { return segments_; }
+  [[nodiscard]] const std::vector<doc::Segment>& segments() const {
+    return content_map_.segments;
+  }
   [[nodiscard]] long frames_seen() const { return frames_seen_; }
   // Frames that failed CRC / were undecodable. Foreign frames (intact but for
   // another document, e.g. on a shared broadcast channel) are counted
@@ -138,8 +140,7 @@ class ClientReceiver {
   [[nodiscard]] double packet_content(std::size_t raw_index) const;
 
   ReceiverConfig config_;
-  std::vector<doc::Segment> segments_;
-  doc::LinearDocument content_map_;  // segments only; payload stays empty
+  doc::LinearDocument content_map_;  // the unit map; payload stays empty
   ida::StreamingDecoder decoder_;
   RenderHook render_hook_;
   obs::SessionTrace* trace_ = nullptr;

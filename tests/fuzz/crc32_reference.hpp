@@ -1,6 +1,7 @@
 // Bit-at-a-time CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320): the
-// textbook definition with no tables, the oracle that the slicing-by-8
-// mobiweb::crc32 is checked against by test_util and fuzz_packet.
+// textbook definition with no tables, the oracle that both mobiweb::crc32
+// paths (the carry-less-multiply fold and the portable slicing-by-8) are
+// checked against by test_util and fuzz_packet.
 #pragma once
 
 #include <cstdint>

@@ -11,8 +11,9 @@
 //      frame accounting stays consistent (classification is exclusive,
 //      counters sum, corruption estimate stays in [0, 1]);
 //   3: crc32 of arbitrary bytes at an arbitrary start offset equals the
-//      bit-at-a-time reference, and Crc32::update split at an arbitrary
-//      offset equals the one-shot value.
+//      bit-at-a-time reference on both paths, Crc32 (the carry-less-multiply
+//      fold where the CPU has it) and the portable slicing-by-8, each one-shot
+//      and split at an arbitrary offset.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -134,15 +135,24 @@ void mode_crc(FuzzInput& in) {
   const std::size_t split = in.take_in_range(0, 0xffff);
   const Bytes bytes = in.take_remaining();
   const ByteSpan data = ByteSpan(bytes).subspan(std::min(offset, bytes.size()));
-  const std::uint32_t one_shot = mobiweb::crc32(data);
-  MOBIWEB_FUZZ_ASSERT(one_shot == mobiweb::testing::crc32_reference(data),
+  const std::uint32_t reference = mobiweb::testing::crc32_reference(data);
+  MOBIWEB_FUZZ_ASSERT(mobiweb::crc32(data) == reference,
                       "crc32 differs from the bit-at-a-time reference");
+  const std::uint32_t portable =
+      mobiweb::detail::crc32_update_portable(0xffffffffu, data) ^ 0xffffffffu;
+  MOBIWEB_FUZZ_ASSERT(portable == reference,
+                      "portable crc32 differs from the bit-at-a-time reference");
   const std::size_t at = split % (data.size() + 1);
   mobiweb::Crc32 crc;
   crc.update(data.first(at));
   crc.update(data.subspan(at));
-  MOBIWEB_FUZZ_ASSERT(crc.value() == one_shot,
-                      "split Crc32::update differs from the one-shot crc32");
+  MOBIWEB_FUZZ_ASSERT(crc.value() == reference,
+                      "split Crc32::update differs from the reference");
+  const std::uint32_t portable_split = mobiweb::detail::crc32_update_portable(
+      mobiweb::detail::crc32_update_portable(0xffffffffu, data.first(at)),
+      data.subspan(at));
+  MOBIWEB_FUZZ_ASSERT((portable_split ^ 0xffffffffu) == reference,
+                      "split portable crc32 differs from the reference");
 }
 
 }  // namespace

@@ -69,10 +69,38 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(inc.value(), mw::crc32(mw::ByteSpan(data)));
 }
 
-TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  // Every length 0..4096 at start offsets 0..7, so each slicing-by-8 block
-  // boundary and tail length meets each alignment. For one offset the
-  // reference runs once over the buffer, recording its value at every length.
+namespace {
+
+// The portable slicing-by-8 path behind the Crc32 interface, so one check
+// runs against it and against Crc32 itself (the carry-less-multiply fold for
+// inputs of 64 bytes or more, where the CPU has PCLMULQDQ).
+struct PortableCrc32 {
+  std::uint32_t reg = 0xffffffffu;
+  void update(mw::ByteSpan data) { reg = mw::detail::crc32_update_portable(reg, data); }
+  [[nodiscard]] std::uint32_t value() const { return reg ^ 0xffffffffu; }
+};
+
+template <class Crc>
+std::uint32_t one_shot(mw::ByteSpan data) {
+  Crc crc;
+  crc.update(data);
+  return crc.value();
+}
+
+bool cpu_folds() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+// Every length 0..4096 at start offsets 0..7, so each 64-byte fold step,
+// 16-byte block and slicing-by-8 tail length meets each alignment. For one
+// offset the reference runs once over the buffer, recording its value at
+// every length.
+template <class Crc>
+void expect_bitwise_reference_at_every_length_and_offset() {
   constexpr std::size_t kMaxLen = 4096;
   mw::Rng rng(77);
   mw::Bytes buf(kMaxLen + 8);
@@ -81,26 +109,47 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
     const mw::ByteSpan from = mw::ByteSpan(buf).subspan(offset, kMaxLen);
     std::uint32_t reg = 0xffffffffu;
     for (std::size_t len = 0; len <= kMaxLen; ++len) {
-      ASSERT_EQ(mw::crc32(from.first(len)), reg ^ 0xffffffffu)
+      ASSERT_EQ(one_shot<Crc>(from.first(len)), reg ^ 0xffffffffu)
           << "offset=" << offset << " len=" << len;
       if (len < kMaxLen) reg = mw::testing::crc32_reference_step(reg, from[len]);
     }
   }
 }
 
-TEST(Crc32, SplitUpdateMatchesOneShotAtEveryOffset) {
+template <class Crc>
+void expect_split_update_matches_one_shot_at_every_offset() {
   mw::Rng rng(78);
   mw::Bytes data(1024);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(256));
   const mw::ByteSpan all(data);
-  const std::uint32_t one_shot = mw::crc32(all);
-  EXPECT_EQ(one_shot, mw::testing::crc32_reference(all));
+  const std::uint32_t whole = one_shot<Crc>(all);
+  EXPECT_EQ(whole, mw::testing::crc32_reference(all));
   for (std::size_t at = 0; at <= data.size(); ++at) {
-    mw::Crc32 split;
+    Crc split;
     split.update(all.first(at));
     split.update(all.subspan(at));
-    ASSERT_EQ(split.value(), one_shot) << "split at " << at;
+    ASSERT_EQ(split.value(), whole) << "split at " << at;
   }
+}
+
+}  // namespace
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  expect_bitwise_reference_at_every_length_and_offset<PortableCrc32>();
+}
+
+TEST(Crc32, FoldMatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  if (!cpu_folds()) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  expect_bitwise_reference_at_every_length_and_offset<mw::Crc32>();
+}
+
+TEST(Crc32, SplitUpdateMatchesOneShotAtEveryOffset) {
+  expect_split_update_matches_one_shot_at_every_offset<PortableCrc32>();
+}
+
+TEST(Crc32, FoldSplitUpdateMatchesOneShotAtEveryOffset) {
+  if (!cpu_folds()) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  expect_split_update_matches_one_shot_at_every_offset<mw::Crc32>();
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {
