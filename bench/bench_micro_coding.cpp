@@ -151,39 +151,33 @@ void register_kernel_benchmarks() {
 
 // ---- self-timed JSON mode ----
 
-// MB/s (1e6 bytes) of mul_add_row over `row_bytes` rows with kernel `k`,
-// measured over ~0.25 s of wall time.
-double measure_mul_add_mbps(gf::Kernel k, std::size_t row_bytes) {
-  const Bytes in = random_bytes(row_bytes, 11);
-  Bytes out = random_bytes(row_bytes, 12);
-  gf::mul_add_row(out.data(), in.data(), 0x57, row_bytes, k);  // warm tables
+// MB/s (1e6 bytes) of `op`, which processes `payload_bytes` per call, over
+// ~0.25 s of wall time. The clock is read once per batch of kBatch calls, so
+// a call of a few nanoseconds is not timed together with a clock read.
+template <typename Fn>
+double measure_payload_mbps(std::size_t payload_bytes, Fn&& op) {
+  constexpr int kBatch = 64;
   using Clock = std::chrono::steady_clock;
   const auto budget = std::chrono::milliseconds(250);
   const auto start = Clock::now();
   std::size_t bytes = 0;
   do {
-    for (int rep = 0; rep < 64; ++rep) {
-      gf::mul_add_row(out.data(), in.data(), 0x57, row_bytes, k);
-      benchmark::DoNotOptimize(out.data());
-    }
-    bytes += 64 * row_bytes;
+    for (int rep = 0; rep < kBatch; ++rep) op();
+    bytes += kBatch * payload_bytes;
   } while (Clock::now() - start < budget);
   const double secs = std::chrono::duration<double>(Clock::now() - start).count();
   return static_cast<double>(bytes) / 1e6 / secs;
 }
 
-template <typename Fn>
-double measure_payload_mbps(std::size_t payload_bytes, Fn&& op) {
-  using Clock = std::chrono::steady_clock;
-  const auto budget = std::chrono::milliseconds(250);
-  const auto start = Clock::now();
-  std::size_t bytes = 0;
-  do {
-    op();
-    bytes += payload_bytes;
-  } while (Clock::now() - start < budget);
-  const double secs = std::chrono::duration<double>(Clock::now() - start).count();
-  return static_cast<double>(bytes) / 1e6 / secs;
+// MB/s of mul_add_row over `row_bytes` rows with kernel `k`.
+double measure_mul_add_mbps(gf::Kernel k, std::size_t row_bytes) {
+  const Bytes in = random_bytes(row_bytes, 11);
+  Bytes out = random_bytes(row_bytes, 12);
+  gf::mul_add_row(out.data(), in.data(), 0x57, row_bytes, k);  // warm tables
+  return measure_payload_mbps(row_bytes, [&] {
+    gf::mul_add_row(out.data(), in.data(), 0x57, row_bytes, k);
+    benchmark::DoNotOptimize(out.data());
+  });
 }
 
 // MB/s (1e6 source bytes) of dot_rows with kernel `k` at the encode shape:

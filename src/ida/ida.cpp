@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <span>
 
 #include "obs/profile.hpp"
 #include "util/check.hpp"
@@ -18,9 +19,11 @@ std::atomic<std::size_t> g_parallel_threshold{kDefaultParallelThreshold};
 
 // Runs fn(lo, hi) over row range [begin, end), sharded across the global
 // pool when the total matrix work is large enough to amortise the handoff.
+// A template, so the serial path calls fn without building a std::function
+// (which would allocate for any capture list wider than two pointers).
+template <typename Fn>
 void for_each_row_range(std::size_t begin, std::size_t end,
-                        std::size_t work_per_row,
-                        const std::function<void(std::size_t, std::size_t)>& fn) {
+                        std::size_t work_per_row, const Fn& fn) {
   const std::size_t rows = end - begin;
   if (rows >= 2 && rows * work_per_row >= parallel_threshold()) {
     MOBIWEB_PROFILE_SCOPE("ida.rows.parallel");
@@ -170,14 +173,15 @@ Decoder::Decoder(std::size_t m, std::size_t n) : m_(m), n_(n) {
 
 namespace {
 
-// The shared body of decode/decode_payload: validates `cooked`, takes its
-// first m distinct indices and returns the m raw packets back to back
-// (m * packet_size bytes).
+// The erasure solve of StreamingDecoder::reconstruct, over rows of `size`
+// bytes: `held` is the slab, row i holding cooked packet i as received, and
+// `out` has m raw rows followed by k scratch rows. Writes the k erased raw
+// rows `erased` of `out` from the held rows `clear` and `redundant`.
 //
-// The code is systematic, so with m - k selected clear packets and k
-// selected redundancy packets R, only the k erased raw rows E are unknown.
-// Each r in R carries payload_r = sum_j g[r][j] raw_j. Moving the known clear
-// terms to the left (subtraction is xor in GF(2^8)) leaves k syndromes
+// The code is systematic, so with m - k clear packets and k redundancy
+// packets R, only the k erased raw rows E are unknown. Each r in R carries
+// payload_r = sum_j g[r][j] raw_j. Moving the known clear terms to the left
+// (subtraction is xor in GF(2^8)) leaves k syndromes
 //
 //   s_r = payload_r + sum_{j clear} g[r][j] raw_j = sum_{e in E} g[r][e] raw_e
 //
@@ -192,53 +196,15 @@ namespace {
 // field operations, then 2k dot products over k*m source rows in all. R and
 // E are disjoint sets of distinct nodes, so no factor is ever zero and B is
 // never singular.
-Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
-                  std::size_t m, std::size_t n) {
-  MOBIWEB_PROFILE_SCOPE("ida.decode");
-  // Validate the whole input up front: a bad index or a mixed-size payload
-  // must surface as a ContractViolation here, never as an out-of-bounds row
-  // read further down.
-  MOBIWEB_CHECK_MSG(!cooked.empty(), "Decoder::decode: no packets supplied");
-  const std::size_t size = cooked.front().second.size();
-  MOBIWEB_CHECK_MSG(size >= 1, "Decoder::decode: empty packets");
-  for (const auto& [idx, data] : cooked) {
-    MOBIWEB_CHECK_MSG(idx < n, "Decoder::decode: cooked index out of range");
-    MOBIWEB_CHECK_MSG(data.size() == size, "Decoder::decode: packet sizes differ");
-  }
-
-  // Gather the first m distinct indices; duplicates carry no new information
-  // and are skipped (they must not count toward the m required packets).
-  // Selected clear packets go straight to their raw row.
-  Bytes out(m * size);
-  const auto row = [&](std::size_t j) { return out.data() + j * size; };
-  std::array<bool, kMaxPackets> seen{};
-  std::array<std::pair<std::size_t, const gf::Elem*>, kMaxPackets> redundant{};  // R
-  std::size_t selected = 0;
-  std::size_t k = 0;
-  for (const auto& [idx, data] : cooked) {
-    if (seen[idx]) continue;
-    seen[idx] = true;
-    if (idx < m) {
-      std::copy(data.begin(), data.end(), row(idx));
-    } else {
-      redundant[k++] = {idx, data.data()};
-    }
-    if (++selected == m) break;
-  }
-  MOBIWEB_CHECK_MSG(selected == m,
-                    "Decoder::decode: need at least m distinct intact packets");
-  if (k == 0) return out;
-
-  std::array<std::size_t, kMaxPackets> clear{};
-  std::array<std::size_t, kMaxPackets> erased{};
-  std::size_t clear_count = 0;
-  std::size_t erased_count = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    (seen[j] ? clear[clear_count++] : erased[erased_count++]) = j;
-  }
-
+void solve_erasures(std::size_t m, std::size_t size, const gf::Elem* held,
+                    std::span<const std::size_t> clear,
+                    std::span<const std::size_t> erased,
+                    std::span<const std::size_t> redundant, gf::Elem* out) {
+  const std::size_t k = erased.size();
+  const auto held_row = [&](std::size_t i) { return held + i * size; };
+  gf::Elem* syndromes = out + m * size;
   const Generator& g = systematic_generator(m);
-  const auto y = [&](std::size_t p) { return node(redundant[p].first); };
+  const auto y = [&](std::size_t p) { return node(redundant[p]); };
   const auto z = [&](std::size_t q) { return node(erased[q]); };
   // u_p: C^-1's factor for received row p, over a_{R_p};
   // v_q: C^-1's factor for erased row q, over b_{E_q}.
@@ -246,7 +212,7 @@ Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
   std::array<gf::Elem, kMaxPackets> v{};
   for (std::size_t p = 0; p < k; ++p) {
     gf::Elem num = 1;
-    gf::Elem den = g.a[redundant[p].first];
+    gf::Elem den = g.a[redundant[p]];
     for (std::size_t t = 0; t < k; ++t) {
       num = gf::mul(num, y(p) ^ z(t));
       if (t != p) den = gf::mul(den, y(p) ^ y(t));
@@ -265,23 +231,21 @@ Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
 
   // Syndrome and solution rows are each independent, so both passes shard
   // across the pool. A syndrome is one dot product: the received payload with
-  // coefficient 1, then the clear rows (1 + clear_count <= m sources).
-  Bytes syndromes(k * size);
+  // coefficient 1, then the clear rows (1 + clear.size() <= m sources).
   std::array<const gf::Elem*, kMaxPackets> syndrome_rows{};
-  for (std::size_t a = 0; a < k; ++a) syndrome_rows[a] = syndromes.data() + a * size;
-  const std::size_t terms = 1 + clear_count;
+  for (std::size_t a = 0; a < k; ++a) syndrome_rows[a] = syndromes + a * size;
+  const std::size_t terms = 1 + clear.size();
   for_each_row_range(0, k, terms * size, [&](std::size_t lo, std::size_t hi) {
     std::array<const gf::Elem*, kMaxPackets> srcs{};
     std::array<gf::Elem, kMaxPackets> coeffs{};
-    for (std::size_t c = 0; c < clear_count; ++c) srcs[1 + c] = row(clear[c]);
+    for (std::size_t c = 0; c < clear.size(); ++c) srcs[1 + c] = held_row(clear[c]);
     coeffs[0] = 1;
     for (std::size_t a = lo; a < hi; ++a) {
-      const auto& [r, payload] = redundant[a];
-      srcs[0] = payload;
-      const gf::Elem* coeff_row = g.row(r);
-      for (std::size_t c = 0; c < clear_count; ++c) coeffs[1 + c] = coeff_row[clear[c]];
-      gf::dot_rows(syndromes.data() + a * size, {srcs.data(), terms},
-                   {coeffs.data(), terms}, size);
+      srcs[0] = held_row(redundant[a]);
+      const gf::Elem* coeff_row = g.row(redundant[a]);
+      for (std::size_t c = 0; c < clear.size(); ++c) coeffs[1 + c] = coeff_row[clear[c]];
+      gf::dot_rows(syndromes + a * size, {srcs.data(), terms}, {coeffs.data(), terms},
+                   size);
     }
   });
   for_each_row_range(0, k, k * size, [&](std::size_t lo, std::size_t hi) {
@@ -290,41 +254,40 @@ Bytes decode_flat(const std::vector<std::pair<std::size_t, Bytes>>& cooked,
       for (std::size_t p = 0; p < k; ++p) {
         inv_row[p] = gf::div(gf::mul(u[p], v[q]), y(p) ^ z(q));
       }
-      gf::dot_rows(row(erased[q]), {syndrome_rows.data(), k}, {inv_row.data(), k},
+      gf::dot_rows(out + erased[q] * size, {syndrome_rows.data(), k}, {inv_row.data(), k},
                    size);
     }
   });
-  return out;
 }
 
 }  // namespace
 
 std::vector<Bytes> Decoder::decode(
     const std::vector<std::pair<std::size_t, Bytes>>& cooked) const {
-  const Bytes flat = decode_flat(cooked, m_, n_);
-  return split_payload(ByteSpan(flat), flat.size() / m_);
+  MOBIWEB_CHECK_MSG(!cooked.empty(), "Decoder::decode: no packets supplied");
+  const std::size_t size = cooked.front().second.size();
+  return split_payload(ByteSpan(decode_payload(cooked, m_ * size)), size);
 }
 
 Bytes Decoder::decode_payload(
     const std::vector<std::pair<std::size_t, Bytes>>& cooked,
     std::size_t payload_size) const {
-  Bytes out = decode_flat(cooked, m_, n_);
-  MOBIWEB_CHECK_MSG(out.size() >= payload_size,
-                    "Decoder::decode_payload: payload_size exceeds decoded data");
-  out.resize(payload_size);
-  return out;
+  MOBIWEB_CHECK_MSG(!cooked.empty(), "Decoder::decode: no packets supplied");
+  StreamingDecoder stream(m_, n_, cooked.front().second.size(), payload_size);
+  for (const auto& [index, data] : cooked) stream.add(index, ByteSpan(data));
+  return stream.reconstruct();
 }
 
 StreamingDecoder::StreamingDecoder(std::size_t m, std::size_t n,
                                    std::size_t packet_size,
                                    std::size_t payload_size)
-    : m_(m), n_(n), packet_size_(packet_size), payload_size_(payload_size),
-      seen_(n, false), clear_slot_(m, kNoSlot) {
+    : m_(m), n_(n), packet_size_(packet_size), payload_size_(payload_size) {
   MOBIWEB_CHECK_MSG(m >= 1 && n >= m && n <= kMaxPackets,
                     "StreamingDecoder: bad (m, n)");
   MOBIWEB_CHECK_MSG(packet_size >= 1, "StreamingDecoder: packet_size must be >= 1");
   MOBIWEB_CHECK_MSG(payload_size >= 1 && payload_size <= m * packet_size,
                     "StreamingDecoder: payload_size inconsistent with m*packet_size");
+  slab_.resize(n * packet_size);
 }
 
 bool StreamingDecoder::add(std::size_t index, ByteSpan payload) {
@@ -333,18 +296,9 @@ bool StreamingDecoder::add(std::size_t index, ByteSpan payload) {
                     "StreamingDecoder::add: wrong packet size");
   if (seen_[index]) return false;
   seen_[index] = true;
-  // Keep every clear-text packet (callers read them via clear_packet) and at
-  // most m packets overall for reconstruction; later redundancy packets add
-  // nothing once m are held. Clear packets sit ahead of redundancy ones, so
-  // reconstruct() selects as many as it can and solves the fewest erasures.
-  if (index < m_) {
-    held_.emplace_back(index, Bytes(payload.begin(), payload.end()));
-    std::rotate(held_.begin() + static_cast<std::ptrdiff_t>(clear_held_),
-                held_.end() - 1, held_.end());
-    clear_slot_[index] = clear_held_++;
-  } else if (held_.size() < m_) {
-    held_.emplace_back(index, Bytes(payload.begin(), payload.end()));
-  }
+  std::copy_n(payload.data(), packet_size_, slab_.data() + index * packet_size_);
+  if (index < m_) ++clear_count_;
+  if (index < m_ || intact_ < m_) ++intact_;
   return true;
 }
 
@@ -355,31 +309,62 @@ bool StreamingDecoder::has(std::size_t index) const {
 
 bool StreamingDecoder::has_clear(std::size_t raw_index) const {
   MOBIWEB_CHECK_MSG(raw_index < m_, "StreamingDecoder::has_clear: index out of range");
-  return clear_slot_[raw_index] != kNoSlot;
+  return seen_[raw_index];
 }
 
 ByteSpan StreamingDecoder::clear_packet(std::size_t raw_index) const {
   MOBIWEB_CHECK_MSG(has_clear(raw_index),
                     "StreamingDecoder::clear_packet: packet not held in clear");
-  return ByteSpan(held_[clear_slot_[raw_index]].second);
+  return ByteSpan(slab_).subspan(raw_index * packet_size_, packet_size_);
+}
+
+std::optional<ByteSpan> StreamingDecoder::clear_bytes(std::size_t offset,
+                                                      std::size_t size) const {
+  MOBIWEB_CHECK_MSG(offset <= payload_size_ && size <= payload_size_ - offset,
+                    "StreamingDecoder::clear_bytes: range past the payload");
+  if (size == 0) return ByteSpan{};
+  for (std::size_t raw = offset / packet_size_; raw <= (offset + size - 1) / packet_size_;
+       ++raw) {
+    if (!seen_[raw]) return std::nullopt;
+  }
+  return ByteSpan(slab_).subspan(offset, size);
 }
 
 Bytes StreamingDecoder::reconstruct() const {
   MOBIWEB_PROFILE_SCOPE("ida.reconstruct");
   MOBIWEB_CHECK_MSG(complete(), "StreamingDecoder::reconstruct: not complete");
-  Decoder dec(m_, n_);
-  return dec.decode_payload(held_, payload_size_);
+  MOBIWEB_PROFILE_SCOPE("ida.decode");
+  // Every held clear row is used; each erased raw row takes the next
+  // lowest-index redundancy row held. complete() guarantees there are enough.
+  std::array<std::size_t, kMaxPackets> clear{};
+  std::array<std::size_t, kMaxPackets> erased{};
+  std::array<std::size_t, kMaxPackets> redundant{};
+  std::size_t c = 0;
+  std::size_t k = 0;
+  for (std::size_t j = 0; j < m_; ++j) (seen_[j] ? clear[c++] : erased[k++]) = j;
+  for (std::size_t r = m_, p = 0; p < k; ++r) {
+    if (seen_[r]) redundant[p++] = r;
+  }
+  // m raw rows, then k syndrome rows the solve works in.
+  const std::size_t raw_bytes = m_ * packet_size_;
+  Bytes out(raw_bytes + k * packet_size_);
+  std::copy_n(slab_.begin(), raw_bytes, out.begin());
+  if (k > 0) {
+    solve_erasures(m_, packet_size_, slab_.data(), {clear.data(), c},
+                   {erased.data(), k}, {redundant.data(), k}, out.data());
+  }
+  out.resize(payload_size_);
+  return out;
 }
 
 double StreamingDecoder::clear_fraction() const {
-  return static_cast<double>(clear_held_) / static_cast<double>(m_);
+  return static_cast<double>(clear_count_) / static_cast<double>(m_);
 }
 
 void StreamingDecoder::reset() {
-  held_.clear();
-  clear_held_ = 0;
-  std::fill(seen_.begin(), seen_.end(), false);
-  std::fill(clear_slot_.begin(), clear_slot_.end(), kNoSlot);
+  seen_.reset();
+  clear_count_ = 0;
+  intact_ = 0;
 }
 
 }  // namespace mobiweb::ida

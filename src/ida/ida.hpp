@@ -21,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <bitset>
 #include <cstddef>
 #include <optional>
 #include <utility>
@@ -120,8 +121,9 @@ class Encoder {
   std::size_t n_;
 };
 
-// One-shot decoder: give it >= m (index, payload) pairs with distinct indices
-// in [0, n) and it reconstructs the m raw packets.
+// One-shot decoder: give it (index, payload) pairs holding >= m distinct
+// indices in [0, n) and it reconstructs the m raw packets. It feeds every
+// pair to a StreamingDecoder, so the two share one decode.
 class Decoder {
  public:
   Decoder(std::size_t m, std::size_t n);
@@ -129,15 +131,17 @@ class Decoder {
   [[nodiscard]] std::size_t m() const { return m_; }
   [[nodiscard]] std::size_t n() const { return n_; }
 
-  // `cooked` holds (cooked index, payload); payloads must share one size.
-  // Uses the first m distinct indices: clear-text ones are copied through,
-  // and the k redundancy ones among them recover the k missing raw packets.
-  // Throws ContractViolation when fewer than m distinct intact packets are
+  // `cooked` holds (cooked index, payload). Every pair is validated: an
+  // index outside [0, n), an empty payload or payloads of different sizes
+  // throw ContractViolation, wherever in the list they sit. Duplicate
+  // indices count once, and any m distinct intact packets decode to the same
+  // bytes. Throws ContractViolation when fewer than m distinct packets are
   // supplied.
   [[nodiscard]] std::vector<Bytes> decode(
       const std::vector<std::pair<std::size_t, Bytes>>& cooked) const;
 
-  // Reconstructs the original payload of `payload_size` bytes.
+  // Reconstructs the original payload of `payload_size` bytes; throws
+  // ContractViolation unless 1 <= payload_size <= m * packet size.
   [[nodiscard]] Bytes decode_payload(
       const std::vector<std::pair<std::size_t, Bytes>>& cooked,
       std::size_t payload_size) const;
@@ -151,9 +155,14 @@ class Decoder {
 // any order, possibly with gaps); clear-text packets are usable immediately
 // ("it allows a portion of the original information to be used once they are
 // available"), and reconstruction unlocks once m distinct intact packets are
-// buffered. The buffer survives retransmission rounds — this is exactly the
+// held. The buffer survives retransmission rounds — this is exactly the
 // client cache that the paper's Caching strategy keeps across "stalled"
 // downloads.
+//
+// The buffer is one slab of n rows allocated at construction: cooked packet
+// i is copied into row i, so rows 0..m-1 are the payload itself as far as it
+// has arrived in clear text. reconstruct() copies those rows and solves only
+// the k erased ones, from the k lowest-index redundancy rows held.
 class StreamingDecoder {
  public:
   StreamingDecoder(std::size_t m, std::size_t n, std::size_t packet_size,
@@ -163,10 +172,15 @@ class StreamingDecoder {
   // duplicate). Index must be < n and payload exactly packet_size bytes.
   bool add(std::size_t index, ByteSpan payload);
 
-  [[nodiscard]] std::size_t intact_count() const { return held_.size(); }
-  [[nodiscard]] bool complete() const { return held_.size() >= m_; }
+  // Packets that count toward reconstruction: every clear-text packet, and
+  // each redundancy packet that arrived while fewer than m were counted
+  // (beyond m a redundancy packet adds nothing). The count can exceed m,
+  // since clear packets keep counting after completion.
+  [[nodiscard]] std::size_t intact_count() const { return intact_; }
+  [[nodiscard]] bool complete() const { return intact_ >= m_; }
 
-  // True when cooked packet `index` has been received intact (any index).
+  // True when cooked packet `index` has been received intact (any index,
+  // counted or not).
   [[nodiscard]] bool has(std::size_t index) const;
 
   // True when raw packet `raw_index` is already available in clear text
@@ -176,10 +190,17 @@ class StreamingDecoder {
   // The bytes of a clear-text raw packet; throws if !has_clear(raw_index).
   [[nodiscard]] ByteSpan clear_packet(std::size_t raw_index) const;
 
+  // Payload bytes [offset, offset + size) as one view of the slab, when
+  // every raw packet they span is held in clear text; nullopt otherwise.
+  // Throws ContractViolation if the range ends past payload_size.
+  [[nodiscard]] std::optional<ByteSpan> clear_bytes(std::size_t offset,
+                                                    std::size_t size) const;
+
   // Full payload; throws ContractViolation if !complete().
   [[nodiscard]] Bytes reconstruct() const;
 
-  // Fraction of raw packets currently readable in clear text.
+  // Clear-text raw packets held, and their fraction of m.
+  [[nodiscard]] std::size_t clear_count() const { return clear_count_; }
   [[nodiscard]] double clear_fraction() const;
 
   void reset();
@@ -194,18 +215,10 @@ class StreamingDecoder {
   std::size_t n_;
   std::size_t packet_size_;
   std::size_t payload_size_;
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-  // (cooked index, payload): the clear-text packets in arrival order, then
-  // the redundancy packets in arrival order. Clear-text packets are always
-  // kept (clients read them incrementally); redundancy packets only until m
-  // are held — beyond that they add nothing.
-  std::vector<std::pair<std::size_t, Bytes>> held_;
-  std::size_t clear_held_ = 0;  // length of held_'s clear-text prefix
-  std::vector<bool> seen_;
-  // held_ position of each raw index's clear-text packet, or kNoSlot. Slots
-  // never move: later clear packets only displace redundancy packets.
-  std::vector<std::size_t> clear_slot_;
+  Bytes slab_;                     // n rows; row i is valid once seen_[i]
+  std::bitset<kMaxPackets> seen_;  // cooked packets received intact
+  std::size_t clear_count_ = 0;    // seen_ bits below m
+  std::size_t intact_ = 0;         // intact_count()
 };
 
 }  // namespace mobiweb::ida

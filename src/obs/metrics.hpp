@@ -87,7 +87,7 @@ struct QuantileEstimate {
 // range of the winning bucket (never the nominal bucket edges), a rank that
 // straddles two buckets interpolates between the lower bucket's max and the
 // upper bucket's min, and a bucket holding one distinct value answers
-// exactly. stats::summarize_histogram builds full tail summaries on top.
+// exactly.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);

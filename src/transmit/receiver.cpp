@@ -77,48 +77,23 @@ void ClientReceiver::reset_cache() {
 
 PartialDocument ClientReceiver::partial_document() const {
   PartialDocument out;
-  const std::size_t ps = config_.packet_size;
-  if (decoder_.complete()) {
-    const Bytes payload = decoder_.reconstruct();
-    for (const doc::Segment& seg : content_map_.segments) {
-      if (seg.offset + seg.size > payload.size()) continue;  // defensive
-      PartialUnit unit;
-      unit.segment = seg;
-      unit.bytes.assign(payload.begin() + static_cast<std::ptrdiff_t>(seg.offset),
-                        payload.begin() +
-                            static_cast<std::ptrdiff_t>(seg.offset + seg.size));
-      out.content += seg.content;
-      out.units.push_back(std::move(unit));
-    }
-    out.clear_packets = config_.m;
-    out.complete = true;
-    return out;
-  }
-  for (std::size_t raw = 0; raw < config_.m; ++raw) {
-    if (decoder_.has_clear(raw)) ++out.clear_packets;
-  }
+  out.complete = decoder_.complete();
+  out.clear_packets = out.complete ? config_.m : decoder_.clear_count();
+  const Bytes payload = out.complete ? decoder_.reconstruct() : Bytes{};
   for (const doc::Segment& seg : content_map_.segments) {
-    if (seg.size == 0) continue;  // nothing displayable
     if (seg.offset + seg.size > config_.payload_size) continue;  // defensive
-    const std::size_t first = seg.offset / ps;
-    const std::size_t last = (seg.offset + seg.size - 1) / ps;
-    bool renderable = true;
-    for (std::size_t raw = first; raw <= last && renderable; ++raw) {
-      renderable = decoder_.has_clear(raw);
+    // Complete: every unit. Otherwise every non-empty unit whose covering
+    // raw packets are all held in clear text, read in place from the slab.
+    std::optional<ByteSpan> bytes;
+    if (out.complete) {
+      bytes = ByteSpan(payload).subspan(seg.offset, seg.size);
+    } else if (seg.size > 0) {
+      bytes = decoder_.clear_bytes(seg.offset, seg.size);
     }
-    if (!renderable) continue;
+    if (!bytes) continue;
     PartialUnit unit;
     unit.segment = seg;
-    unit.bytes.reserve(seg.size);
-    for (std::size_t raw = first; raw <= last; ++raw) {
-      const ByteSpan packet = decoder_.clear_packet(raw);
-      const std::size_t begin =
-          raw == first ? seg.offset - raw * ps : 0;
-      const std::size_t end =
-          raw == last ? seg.offset + seg.size - raw * ps : ps;
-      unit.bytes.insert(unit.bytes.end(), packet.begin() + begin,
-                        packet.begin() + end);
-    }
+    unit.bytes.assign(bytes->begin(), bytes->end());
     out.content += seg.content;
     out.units.push_back(std::move(unit));
   }

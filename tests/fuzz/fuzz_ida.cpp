@@ -11,7 +11,9 @@
 //     (gf_oracle.hpp) and multiplies it out with scalar field arithmetic;
 //   * the streaming decoder reaches the same payload through out-of-order,
 //     duplicated arrivals;
-//   * fewer than m distinct packets is rejected with ContractViolation.
+//   * fewer than m distinct packets is rejected with ContractViolation;
+//   * a streaming decoder fed every cooked packet, more than m when n > m,
+//     counts them by its admission rule and still reconstructs the payload.
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
@@ -152,5 +154,24 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     }
     MOBIWEB_FUZZ_ASSERT(rejected, "decode accepted fewer than m shares");
   }
+
+  // Selection: every share of `order`, so the decoder holds up to n packets
+  // and reconstruct() picks which rows to solve from. Clear shares always
+  // count; a redundancy share counts only while fewer than m are counted.
+  ida::StreamingDecoder all(m, n, packet_size, payload.size());
+  std::size_t counted = 0;
+  for (const std::size_t index : order) {
+    MOBIWEB_FUZZ_ASSERT(all.add(index, ByteSpan(cooked[index])),
+                        "a new share was taken for a duplicate");
+    if (index < m || counted < m) ++counted;
+    if (in.take_bool()) {
+      MOBIWEB_FUZZ_ASSERT(!all.add(index, ByteSpan(cooked[index])),
+                          "a duplicate share was taken as new");
+    }
+  }
+  MOBIWEB_FUZZ_ASSERT(all.intact_count() == counted,
+                      "intact_count broke the admission rule");
+  MOBIWEB_FUZZ_ASSERT(all.reconstruct() == payload,
+                      "reconstruction from every share differs");
   return 0;
 }

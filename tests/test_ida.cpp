@@ -640,8 +640,9 @@ TEST(IdaDecodeWork, StreamingPrefersHeldClearPackets) {
   const Bytes payload = random_payload(10240, rng);
   const auto cooked = ida::Encoder(40, 60).encode_payload(ByteSpan(payload), 256);
   ida::StreamingDecoder sd(40, 60, 256, payload.size());
-  // Redundancy first: had held_ kept arrival order, decode would select all
-  // 20 redundancy packets (k = 20); clear-first selection leaves k = 0.
+  // Redundancy first: a decode that took packets in arrival order would
+  // select all 20 redundancy packets (k = 20); with every clear packet held,
+  // k = 0 and no row is solved.
   for (std::size_t i = 40; i < 60; ++i) sd.add(i, ByteSpan(cooked[i]));
   for (std::size_t i = 0; i < 40; ++i) sd.add(i, ByteSpan(cooked[i]));
 
@@ -651,6 +652,8 @@ TEST(IdaDecodeWork, StreamingPrefersHeldClearPackets) {
   obs::Profiler::detach();
   EXPECT_EQ(decoded, payload);
   EXPECT_EQ(calls(profiler, "ida.reconstruct"), 1);
-  EXPECT_EQ(calls(profiler, "gf.invert"), 0);
-  EXPECT_EQ(calls(profiler, "gf.mul_add_row"), 0);
+  EXPECT_EQ(calls(profiler, "ida.decode"), 1);
+  EXPECT_EQ(calls_with_prefix(profiler, "gf."), 0);
+  EXPECT_EQ(calls(profiler, "ida.rows.serial"), 0);
+  EXPECT_EQ(calls(profiler, "ida.rows.parallel"), 0);
 }
